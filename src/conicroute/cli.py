@@ -13,13 +13,13 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 from pathlib import Path
 
 from .contraction import Overlay, build_hierarchy
 from .dijkstra import path_to, shortest_paths
 from .dot import export_dot
 from .errors import (
+    BadOrder,
     ConicRouteError,
     ParseError,
     Unreachable,
@@ -27,11 +27,10 @@ from .errors import (
     UnknownSourceLabel,
     ValidationFailed,
 )
-from .graph import ConicGraph, NodeKind
+from .graph import ConicGraph, NodeId, NodeKind
 from .invention import (
     FitnessReport,
     HiddenPath,
-    InventedEdge,
     PolicyThreshold,
     fitness,
     invent_all,
@@ -86,10 +85,11 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
         search_graph = graph.extend(edges)
     state = shortest_paths(search_graph, source.id, use_invented=use_invented)
 
+    # the drained search settled exactly the nodes with a finite label
     reachable = [
-        (state.dist[n.id], n.offset, n.id)
-        for n in graph.destinations()
-        if state.dist[n.id] != inf
+        (state.dist[node.id], node.offset, node.id)
+        for node in map(graph.node, state.settled_order)
+        if node.kind is NodeKind.DESTINATION
     ]
     best = None
     if reachable:
@@ -103,23 +103,20 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
 
     alternates: list[Alternate] = []
     if invent:
+        by_pair: dict[frozenset[NodeId], HiddenPath] = {}
+        for path in hidden or ():
+            # either orientation joins the pair; the first listed path wins
+            by_pair.setdefault(frozenset((path.src, path.dst)), path)
         for edge in invent_for_source(graph, source.id, policy):
+            path = by_pair.get(frozenset((edge.src, edge.dst)))
             alternates.append(Alternate(
                 src_label=graph.node(edge.src).label,
                 dst_label=graph.node(edge.dst).label,
                 weight=edge.weight,
                 pair_weights=edge.pair_weights,
-                fitness=_match_fitness(edge, hidden or [], tolerance),
+                fitness=None if path is None else fitness(edge, path, tolerance),
             ))
     return QueryResult(source=source.label, best=best, invented_alternates=alternates)
-
-
-def _match_fitness(edge: InventedEdge, hidden: list[HiddenPath],
-                   tolerance) -> FitnessReport | None:
-    for path in hidden:
-        if {path.src, path.dst} == {edge.src, edge.dst}:
-            return fitness(edge, path, tolerance)
-    return None
 
 
 # --- rendering ---------------------------------------------------------------
@@ -306,8 +303,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(path: Path) -> str:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    return path.read_text(encoding="utf-8-sig")
+
+
 def _load_graph(path: Path) -> ConicGraph:
-    return to_graph(parse_build_matrix(path.read_text(encoding="utf-8")))
+    return to_graph(parse_build_matrix(_read(path)))
 
 
 def _run(args) -> int:
@@ -326,7 +328,7 @@ def _run(args) -> int:
         return OK
 
     if args.command == "validate":
-        matrix = parse_build_matrix(args.matrix.read_text(encoding="utf-8"))
+        matrix = parse_build_matrix(_read(args.matrix))
         _, violations = build_graph(matrix)
         if args.format == "json":
             _emit_json({"violations": [{"code": v.code, "detail": v.detail}
@@ -342,7 +344,7 @@ def _run(args) -> int:
         graph = _load_graph(args.matrix)
         hidden = None
         if args.hidden is not None:
-            hidden = parse_hidden_paths(args.hidden.read_text(encoding="utf-8"), graph)
+            hidden = parse_hidden_paths(_read(args.hidden), graph)
         kwargs = dict(
             invent=not args.no_invent,
             hidden=hidden,
@@ -423,6 +425,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
+    except BadOrder as exc:
+        sys.stderr.write(f"conicroute: {exc}\n")
+        return USAGE_ERROR
     except FileNotFoundError as exc:
         sys.stderr.write(f"conicroute: cannot read {exc.filename}\n")
         return PARSE_ERROR

@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import AlreadyContracted, EmptyChain
+from .errors import AlreadyContracted, BadOrder, EmptyChain
 from .graph import ConicGraph, Edge, NodeId, Provenance
 
 
@@ -113,7 +113,7 @@ class Contractor:
             order = range(graph.node_count)
         order = tuple(order)
         if sorted(order) != list(range(graph.node_count)):
-            raise ValueError("order must be a permutation of all node ids")
+            raise BadOrder("order must be a permutation of all node ids")
         self.graph = graph
         self.order = order
         self._pos = {node: i for i, node in enumerate(order)}

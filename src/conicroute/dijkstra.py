@@ -67,8 +67,8 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
     graph._check_node(source)
     state = SearchState(
         source=source,
-        dist={n.id: inf for n in graph.nodes},
-        pred={n.id: None for n in graph.nodes},
+        dist=graph._dist_template.copy(),
+        pred=graph._pred_template.copy(),
     )
     state.dist[source] = 0
     heapq.heappush(state.frontier, (0, source))

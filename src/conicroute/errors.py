@@ -58,6 +58,10 @@ class AlreadyContracted(ConicRouteError):
     """Node was contracted earlier in this run."""
 
 
+class BadOrder(ConicRouteError, ValueError):
+    """Contraction order is not a permutation of all node ids."""
+
+
 class EmptyChain(ConicRouteError):
     """Additive contraction needs at least one edge weight."""
 

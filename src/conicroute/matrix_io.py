@@ -9,7 +9,7 @@ File layout (UTF-8, comma-separated, LF):
 
 Destination offsets are positive and strictly increasing; an empty cell
 means "no edge". Hidden paths travel in their own CSV with the header
-``from,to,true_weight``.
+``from,to,true_weight``; each unordered destination pair appears once.
 """
 
 from __future__ import annotations
@@ -198,6 +198,7 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> list[HiddenPath]:
     if not records or records[0] != ["from", "to", "true_weight"]:
         raise MalformedHeader(1, "expected header 'from,to,true_weight'")
     paths: list[HiddenPath] = []
+    first_line: dict[frozenset[int], int] = {}
     for line, record in enumerate(records[1:], start=2):
         if len(record) != 3:
             raise RaggedRow(line, f"expected 3 fields, got {len(record)}")
@@ -209,6 +210,11 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> list[HiddenPath]:
         for node in (src, dst):
             if node.kind is not NodeKind.DESTINATION:
                 raise ParseError(line, f"{node.label!r} is not a destination")
+        pair = frozenset((src.id, dst.id))
+        if pair in first_line:
+            raise ParseError(line, f"duplicate hidden path {src.label!r}-{dst.label!r}, "
+                                   f"first given on line {first_line[pair]}")
+        first_line[pair] = line
         src, dst = src.id, dst.id
         weight = _int_cell(record[2], line, "true_weight")
         if weight <= 0:

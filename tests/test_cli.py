@@ -234,3 +234,39 @@ def test_export_table_smoke(capsys):
     code, out, _ = run(capsys, "invent", MATRIX, "--format", "table")
     assert code == 0
     assert "Rumuomasi: CMC->MC (459)" in out
+
+
+def test_contract_order_must_name_every_node_once(capsys):
+    labels = [n["label"] for n in json.loads(run(capsys, "build", MATRIX)[1])["nodes"]]
+    partial = "CMC"
+    duplicated = ",".join(labels[:-1] + labels[:1])
+    for order in (partial, duplicated):
+        code, out, err = run(capsys, "contract", MATRIX, "--order", order)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("conicroute: ") and err.count("\n") == 1
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    matrix, hidden = tmp_path / "matrix.csv", tmp_path / "hidden.csv"
+    matrix.write_bytes(b"\xef\xbb\xbf" + MATRIX_PATH.read_bytes())
+    hidden.write_bytes(b"\xef\xbb\xbf" + HIDDEN_PATH.read_bytes())
+    for plain_args, marked_args in (
+        (["build", MATRIX], ["build", str(matrix)]),
+        (["validate", MATRIX], ["validate", str(matrix)]),
+        (["query", MATRIX, "--all-sources", "--hidden", HIDDEN],
+         ["query", str(matrix), "--all-sources", "--hidden", str(hidden)]),
+    ):
+        plain = run(capsys, *plain_args)
+        assert plain[0] == 0
+        assert run(capsys, *marked_args) == plain
+
+
+def test_query_duplicate_hidden_pair_exits_2(tmp_path, capsys):
+    hidden = tmp_path / "hidden.csv"
+    hidden.write_text("from,to,true_weight\nCMC,MC,500\nPC,SC,100\nMC,CMC,459\n")
+    code, out, err = run(capsys, "query", MATRIX, "--source", "Rumuomasi",
+                         "--hidden", str(hidden))
+    assert code == 2
+    assert out == ""
+    assert "line 4" in err and "line 2" in err

@@ -177,6 +177,12 @@ def test_parse_hidden_paths_errors(hospital_graph):
     # hidden paths join destinations, never sources
     with pytest.raises(ParseError):
         parse_hidden_paths("from,to,true_weight\nRumuomasi,MC,10\n", hospital_graph)
+    # one path per unordered pair, in either orientation
+    for repeat in ("CMC,MC,7", "MC,CMC,7"):
+        with pytest.raises(ParseError) as err:
+            parse_hidden_paths(f"from,to,true_weight\nCMC,MC,10\nPC,SC,3\n{repeat}\n",
+                               hospital_graph)
+        assert err.value.line == 4
 
 
 def test_build_graph_flags_malformed_node_definitions():

@@ -304,8 +304,8 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: Path) -> str:
-    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-    return path.read_text(encoding="utf-8-sig")
+    # drop the byte-order mark that spreadsheet exports prepend
+    return path.read_text(encoding="utf-8").removeprefix("\ufeff")
 
 
 def _load_graph(path: Path) -> ConicGraph:

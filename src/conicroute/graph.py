@@ -6,10 +6,10 @@ built from. Adjacency is kept sorted by target offset so that "the next
 destination" of a source is always its offset successor.
 
 A graph is mutable while it is being assembled and immutable after
-freeze(), which also builds the node lists and label templates that let a
-query cost its source's fan-out rather than the node count; derived edges
-(shortcuts from contraction, invented edges) never mutate a frozen graph in
-place — extend() returns a new frozen graph.
+freeze(), which also builds the label templates that let a query cost its
+source's fan-out rather than the node count; derived edges (shortcuts from
+contraction, invented edges) never mutate a frozen graph in place —
+extend() returns a new frozen graph.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ class ConicGraph:
         self._by_offset: dict[tuple[NodeKind, int], NodeId] = {}
         self._out_weights: dict[NodeId, set[int]] = {}
         self._view_cache: dict[NodeId, tuple[Edge, ...]] = {}
-        self._sources: list[Node] = []
-        self._destinations: list[Node] = []
         # search label templates, copied (at C speed) by every query
         self._dist_template: dict[NodeId, int | float] = {}
         self._pred_template: dict[NodeId, NodeId | None] = {}
@@ -131,17 +129,16 @@ class ConicGraph:
 
     def freeze(self) -> "ConicGraph":
         """Sort adjacency by target offset and seal the graph. Idempotent."""
+        if not self._frozen:
+            # no node can be added once frozen, so the templates stay current
+            self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
+            self._pred_template = dict.fromkeys(range(len(self._nodes)))
+        return self._seal()
+
+    def _seal(self) -> "ConicGraph":
         for edge_ids in self._out.values():
             edge_ids.sort(key=self._offset_key)
         self._view_cache = {}
-        # nodes arrive only before the first freeze, so caches of the right
-        # size are current (extend() hands its copy the base graph's caches)
-        if len(self._dist_template) != len(self._nodes):
-            source = NodeKind.SOURCE
-            self._sources = [n for n in self._nodes if n.kind is source]
-            self._destinations = [n for n in self._nodes if n.kind is not source]
-            self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
-            self._pred_template = dict.fromkeys(range(len(self._nodes)))
         self._frozen = True
         return self
 
@@ -159,8 +156,6 @@ class ConicGraph:
         g._by_label = dict(self._by_label)
         g._by_offset = dict(self._by_offset)
         g._out_weights = {n: set(w) for n, w in self._out_weights.items()}
-        g._sources, g._destinations = self._sources, self._destinations
-        g._dist_template, g._pred_template = self._dist_template, self._pred_template
         for edge in derived:
             if edge.provenance is Provenance.ORIGINAL:
                 raise ValueError("extend() accepts derived edges only")
@@ -175,7 +170,9 @@ class ConicGraph:
             g._out[edge.src].append(edge_id)
         if g._topological_order() is None:
             raise CycleCreated("derived edges close a cycle")
-        return g.freeze()
+        # same nodes as this graph, so its label templates serve the copy too
+        g._dist_template, g._pred_template = self._dist_template, self._pred_template
+        return g._seal()
 
     # --- queries ------------------------------------------------------------
 
@@ -210,13 +207,9 @@ class ConicGraph:
             raise UnknownNode(f"no node labelled {label!r}") from None
 
     def sources(self) -> list[Node]:
-        if self._frozen:
-            return list(self._sources)
         return [n for n in self._nodes if n.kind is NodeKind.SOURCE]
 
     def destinations(self) -> list[Node]:
-        if self._frozen:
-            return list(self._destinations)
         return [n for n in self._nodes if n.kind is NodeKind.DESTINATION]
 
     def out_edges(self, node_id: NodeId) -> tuple[Edge, ...]:

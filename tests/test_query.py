@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conicroute.cli import Alternate, cmd_query
 from conicroute.dijkstra import shortest_paths
-from conicroute.graph import ConicGraph, NodeKind
+from conicroute.graph import ConicGraph, Edge, NodeKind, Provenance
 from conicroute.invention import FitnessReport, HiddenPath
 from conicroute.matrix_io import BuildMatrix, MatrixRow, parse_build_matrix, to_graph
 
@@ -110,6 +110,24 @@ def test_returned_lists_and_labels_do_not_leak_into_the_next_query():
     assert cmd_query(g, "Rumuomasi", hidden=hidden) == first
 
 
+def test_extended_and_refrozen_graphs_keep_dense_independent_labels():
+    g = _fixture_graph()
+    cmc, mc = label_id(g, "CMC"), label_id(g, "MC")
+    source = label_id(g, "Rumuomasi")
+    base = shortest_paths(g, source)
+    extended = g.extend([Edge(cmc, mc, 459, Provenance.INVENTED)])
+    g.freeze()
+    extended.freeze()
+
+    state = shortest_paths(extended, source)
+    assert list(state.dist) == list(range(g.node_count))
+    for node in state.dist:
+        state.dist[node] = 0
+    assert shortest_paths(g, source).dist == base.dist
+    assert shortest_paths(extended, source).dist[mc] == min(base.dist[mc],
+                                                            base.dist[cmc] + 459)
+
+
 def test_cmd_query_scans_no_destination_list(monkeypatch):
     g = _fixture_graph()
     expected = cmd_query(g, "Woji")
@@ -143,15 +161,3 @@ def test_first_listed_hidden_path_grades_the_pair():
                        hidden=[HiddenPath(mc, cmc, 500), HiddenPath(cmc, mc, 459)])
     (alternate,) = result.invented_alternates
     assert alternate.fitness.hidden_weight == 500
-
-
-def test_unfrozen_graph_lists_the_nodes_added_so_far():
-    g = ConicGraph()
-    g.add_node("s", NodeKind.SOURCE, 0)
-    assert [n.label for n in g.sources()] == ["s"] and g.destinations() == []
-    g.add_node("d", NodeKind.DESTINATION, 1)
-    assert [n.label for n in g.destinations()] == ["d"]
-    g.add_edge(0, 1, 5)
-    g.freeze()
-    assert [n.label for n in g.sources()] == ["s"]
-    assert [n.label for n in g.destinations()] == ["d"]

@@ -13,7 +13,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import Any, Callable
 
 from .contraction import Overlay, build_hierarchy
 from .dijkstra import path_to, shortest_paths
@@ -64,11 +66,14 @@ class QueryResult:
 
 def cmd_query(graph: ConicGraph, source_label: str, *,
               invent: bool = True,
-              hidden: "list[HiddenPath] | None" = None,
+              hidden: "dict[frozenset[NodeId], HiddenPath] | None" = None,
               tolerance: "Fraction | float | str" = Fraction(1, 10),
-              allowable: "int | None" = None,
-              use_invented: bool = False) -> QueryResult:
-    """Dijkstra plus invention for one source of a frozen graph."""
+              allowable: "int | None" = None) -> QueryResult:
+    """Dijkstra plus invention for one source of a frozen graph.
+
+    ``hidden`` maps an unordered destination pair to its hidden path, as
+    ``parse_hidden_paths`` returns it.
+    """
     try:
         source = graph.node_by_label(source_label)
     except UnknownNode:
@@ -76,14 +81,7 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
     if source.kind is not NodeKind.SOURCE:
         raise UnknownSourceLabel(f"{source_label!r} is a destination, not a source")
     policy = PolicyThreshold(allowable) if allowable is not None else None
-
-    search_graph = graph
-    if use_invented:
-        # the query concerns one source, so only its own inventions join
-        # the searched edge set (single-source inventions cannot cycle)
-        edges = [e.as_edge() for e in invent_for_source(graph, source.id, policy)]
-        search_graph = graph.extend(edges)
-    state = shortest_paths(search_graph, source.id, use_invented=use_invented)
+    state = shortest_paths(graph, source.id)
 
     # the drained search settled exactly the nodes with a finite label
     reachable = [
@@ -103,10 +101,7 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
 
     alternates: list[Alternate] = []
     if invent:
-        by_pair: dict[frozenset[NodeId], HiddenPath] = {}
-        for path in hidden or ():
-            # either orientation joins the pair; the first listed path wins
-            by_pair.setdefault(frozenset((path.src, path.dst)), path)
+        by_pair = hidden or {}
         for edge in invent_for_source(graph, source.id, policy):
             path = by_pair.get(frozenset((edge.src, edge.dst)))
             alternates.append(Alternate(
@@ -154,18 +149,19 @@ def _query_payload(result: QueryResult) -> dict:
     }
 
 
-def _query_table(result: QueryResult) -> str:
-    lines = [f"source: {result.source}"]
-    if result.best is None:
+def _query_table(payload: dict) -> str:
+    lines = [f"source: {payload['source']}"]
+    best = payload["best"]
+    if best is None:
         lines.append("best: (no reachable destination)")
     else:
-        destination, distance, path = result.best
-        lines.append(f"best: {destination}  distance {distance}  via {' -> '.join(path)}")
-    if result.invented_alternates:
+        lines.append(f"best: {best['destination']}  distance {best['distance']}"
+                     f"  via {' -> '.join(best['path'])}")
+    if payload["invented_alternates"]:
         lines.append("invented alternates:")
-        for a in result.invented_alternates:
-            fit = "-" if a.fitness is None else ("fit" if a.fitness.fit else "unfit")
-            lines.append(f"  {a.src_label} -> {a.dst_label}  weight {a.weight}  {fit}")
+        for a in payload["invented_alternates"]:
+            fit = "-" if a["fitness"] is None else ("fit" if a["fitness"]["fit"] else "unfit")
+            lines.append(f"  {a['from']} -> {a['to']}  weight {a['weight']}  {fit}")
     else:
         lines.append("invented alternates: none")
     return "\n".join(lines) + "\n"
@@ -189,6 +185,17 @@ def _graph_payload(graph: ConicGraph) -> dict:
     }
 
 
+def _graph_table(payload: dict) -> str:
+    return "".join(
+        [f"node {n['label']}  {n['kind']}  offset {n['offset']}\n" for n in payload["nodes"]]
+        + [f"edge {e['from']} -> {e['to']}  weight {e['weight']}\n" for e in payload["edges"]]
+    )
+
+
+def _violations_table(payload: dict) -> str:
+    return "".join(f"{v['code']}: {v['detail']}\n" for v in payload["violations"]) or "valid\n"
+
+
 def _overlay_payload(graph: ConicGraph, overlay: Overlay) -> dict:
     return {
         "order": [graph.node(n).label for n in overlay.order],
@@ -202,6 +209,13 @@ def _overlay_payload(graph: ConicGraph, overlay: Overlay) -> dict:
             for s in overlay.shortcuts
         ],
     }
+
+
+def _overlay_table(payload: dict) -> str:
+    return "".join(
+        f"{s['from']} -> {s['to']} via {s['via']}  weight {s['weight']}\n"
+        for s in payload["shortcuts"]
+    ) or "no shortcuts\n"
 
 
 def _invent_payload(graph: ConicGraph, inventions) -> dict:
@@ -219,8 +233,106 @@ def _invent_payload(graph: ConicGraph, inventions) -> dict:
     }
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _invent_table(payload: dict) -> str:
+    return "".join(
+        f"{source}: "
+        + (", ".join(f"{e['from']}->{e['to']} ({e['weight']})" for e in edges) or "none")
+        + "\n"
+        for source, edges in payload.items()
+    )
+
+
+_JSON_BATCH = 65536  # encoder chunks per write
+
+
+def _emit(args, payload, table: Callable[[Any], str]) -> None:
+    """Write the payload as JSON, or as the text ``table`` renders from it."""
+    if args.format == "json":
+        # streamed in batches: the whole text is never held as one string,
+        # and an unbuffered stdout (PYTHONUNBUFFERED) gets a few large writes
+        # rather than one per encoder chunk
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        while batch := "".join(islice(chunks, _JSON_BATCH)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write(table(payload))
+
+
+# --- subcommands ----------------------------------------------------------------
+
+def _read(path: Path) -> str:
+    # drop the byte-order mark that spreadsheet exports prepend
+    return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+
+
+def _load_graph(path: Path) -> ConicGraph:
+    return to_graph(parse_build_matrix(_read(path)))
+
+
+def _policy(args) -> "PolicyThreshold | None":
+    return PolicyThreshold(args.allowable) if args.allowable is not None else None
+
+
+def _build(args) -> int:
+    _emit(args, _graph_payload(_load_graph(args.matrix)), _graph_table)
+    return OK
+
+
+def _validate(args) -> int:
+    _, violations = build_graph(parse_build_matrix(_read(args.matrix)))
+    _emit(args, {"violations": [{"code": v.code, "detail": v.detail} for v in violations]},
+          _violations_table)
+    return PARSE_ERROR if violations else OK
+
+
+def _query(args) -> int:
+    graph = _load_graph(args.matrix)
+    hidden = None
+    if args.hidden is not None:
+        hidden = parse_hidden_paths(_read(args.hidden), graph)
+
+    def query(label: str) -> QueryResult:
+        return cmd_query(graph, label, invent=not args.no_invent, hidden=hidden,
+                         tolerance=args.tolerance, allowable=args.allowable)
+
+    if args.all_sources:
+        payload = [_query_payload(query(node.label))
+                   for node in sorted(graph.sources(), key=lambda n: n.offset)]
+        _emit(args, payload, lambda results: "\n".join(map(_query_table, results)))
+        return OK
+    result = query(args.source)
+    if result.best is None:
+        raise Unreachable(f"source {args.source!r} reaches no destination")
+    _emit(args, _query_payload(result), _query_table)
+    return OK
+
+
+def _invent(args) -> int:
+    graph = _load_graph(args.matrix)
+    _emit(args, _invent_payload(graph, invent_all(graph, _policy(args))), _invent_table)
+    return OK
+
+
+def _contract(args) -> int:
+    graph = _load_graph(args.matrix)
+    order = None
+    if args.order is not None:
+        order = [graph.node_by_label(label.strip()).id for label in args.order.split(",")]
+    _emit(args, _overlay_payload(graph, build_hierarchy(graph, order)), _overlay_table)
+    return OK
+
+
+def _export(args) -> int:
+    graph = _load_graph(args.matrix)
+    shortcuts = None
+    if args.with_shortcuts:
+        shortcuts = build_hierarchy(graph).shortcuts
+    invented = None
+    if args.with_invented:
+        invented = [e for group in invent_all(graph, _policy(args)).values() for e in group]
+    sys.stdout.write(export_dot(graph, overlay=shortcuts, invented=invented))
+    return OK
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -253,29 +365,39 @@ def _allowable(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("matrix", type=Path, help="build-matrix CSV file")
-    common.add_argument("--format", choices=("json", "table"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--tolerance", type=_tolerance, default=Fraction(1, 10),
-                        help="fitness tolerance as a rational, e.g. 0.1 or 1/10")
-    common.add_argument("--allowable", type=_allowable, default=None,
-                        help="suppress inventions heavier than this cap")
-    common.add_argument("--use-invented", action="store_true",
-                        help="let searches traverse invented/shortcut edges")
+# flags shared by several subcommands; each subcommand takes the ones it reads
+_FLAGS = {
+    "--format": dict(choices=("json", "table"), default="json",
+                     help="output format (default json)"),
+    "--tolerance": dict(type=_tolerance, default=Fraction(1, 10),
+                        help="fitness tolerance as a rational, e.g. 0.1 or 1/10"),
+    "--allowable": dict(type=_allowable, default=None,
+                        help="suppress inventions heavier than this cap"),
+    "--use-invented": dict(action="store_true",
+                           help="no effect on matrix input: a path through an invention "
+                                "weighs exactly the direct edge, so the result is unchanged"),
+}
 
+
+def _build_parser() -> _Parser:
     parser = _Parser(prog="conicroute",
                      description="Shortest paths and edge invention on conic graphs.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("build", parents=[common],
-                   help="ingest and validate a matrix, dump the graph as JSON")
-    sub.add_parser("validate", parents=[common],
-                   help="report structural violations of a matrix")
+    def command(name, run, help, *flags):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("matrix", type=Path, help="build-matrix CSV file")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(run=run)
+        return p
 
-    query = sub.add_parser("query", parents=[common],
-                           help="best destination and invented alternates for a source")
+    command("build", _build, "ingest and validate a matrix, dump the graph as JSON",
+            "--format")
+    command("validate", _validate, "report structural violations of a matrix", "--format")
+
+    query = command("query", _query, "best destination and invented alternates for a source",
+                    "--format", "--tolerance", "--allowable", "--use-invented")
     pick = query.add_mutually_exclusive_group(required=True)
     pick.add_argument("--source", help="source label to query")
     pick.add_argument("--all-sources", action="store_true",
@@ -285,15 +407,13 @@ def _build_parser() -> _Parser:
     query.add_argument("--no-invent", action="store_true",
                        help="skip invention, report the best path only")
 
-    sub.add_parser("invent", parents=[common],
-                   help="invented edges for every source")
-    contract = sub.add_parser("contract", parents=[common],
-                              help="contraction overlay (shortcut edges)")
+    command("invent", _invent, "invented edges for every source", "--format", "--allowable")
+    contract = command("contract", _contract, "contraction overlay (shortcut edges)",
+                       "--format")
     contract.add_argument("--order", default=None,
                           help="comma-separated node labels, least important first")
 
-    export = sub.add_parser("export", parents=[common],
-                            help="render the graph as Graphviz DOT")
+    export = command("export", _export, "render the graph as Graphviz DOT", "--allowable")
     export.add_argument("--dot", action="store_true",
                         help="DOT output (the only format; accepted for clarity)")
     export.add_argument("--invent", action="store_true", dest="with_invented",
@@ -303,120 +423,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read(path: Path) -> str:
-    # drop the byte-order mark that spreadsheet exports prepend
-    return path.read_text(encoding="utf-8").removeprefix("\ufeff")
-
-
-def _load_graph(path: Path) -> ConicGraph:
-    return to_graph(parse_build_matrix(_read(path)))
-
-
-def _run(args) -> int:
-    if args.command == "build":
-        graph = _load_graph(args.matrix)
-        if args.format == "json":
-            _emit_json(_graph_payload(graph))
-        else:
-            for node in graph.nodes:
-                sys.stdout.write(f"node {node.label}  {node.kind.value}  offset {node.offset}\n")
-            for edge in graph.edges:
-                sys.stdout.write(
-                    f"edge {graph.node(edge.src).label} -> {graph.node(edge.dst).label}"
-                    f"  weight {edge.weight}\n"
-                )
-        return OK
-
-    if args.command == "validate":
-        matrix = parse_build_matrix(_read(args.matrix))
-        _, violations = build_graph(matrix)
-        if args.format == "json":
-            _emit_json({"violations": [{"code": v.code, "detail": v.detail}
-                                       for v in violations]})
-        else:
-            if not violations:
-                sys.stdout.write("valid\n")
-            for v in violations:
-                sys.stdout.write(f"{v.code}: {v.detail}\n")
-        return PARSE_ERROR if violations else OK
-
-    if args.command == "query":
-        graph = _load_graph(args.matrix)
-        hidden = None
-        if args.hidden is not None:
-            hidden = parse_hidden_paths(_read(args.hidden), graph)
-        kwargs = dict(
-            invent=not args.no_invent,
-            hidden=hidden,
-            tolerance=args.tolerance,
-            allowable=args.allowable,
-            use_invented=args.use_invented,
-        )
-        if args.all_sources:
-            results = [
-                cmd_query(graph, node.label, **kwargs)
-                for node in sorted(graph.sources(), key=lambda n: n.offset)
-            ]
-            if args.format == "json":
-                _emit_json([_query_payload(r) for r in results])
-            else:
-                sys.stdout.write("\n".join(_query_table(r) for r in results))
-            return OK
-        result = cmd_query(graph, args.source, **kwargs)
-        if result.best is None:
-            raise Unreachable(f"source {args.source!r} reaches no destination")
-        if args.format == "json":
-            _emit_json(_query_payload(result))
-        else:
-            sys.stdout.write(_query_table(result))
-        return OK
-
-    if args.command == "invent":
-        graph = _load_graph(args.matrix)
-        policy = PolicyThreshold(args.allowable) if args.allowable is not None else None
-        payload = _invent_payload(graph, invent_all(graph, policy))
-        if args.format == "json":
-            _emit_json(payload)
-        else:
-            for source, edges in payload.items():
-                rendered = ", ".join(f"{e['from']}->{e['to']} ({e['weight']})" for e in edges)
-                sys.stdout.write(f"{source}: {rendered or 'none'}\n")
-        return OK
-
-    if args.command == "contract":
-        graph = _load_graph(args.matrix)
-        order = None
-        if args.order is not None:
-            order = [graph.node_by_label(label.strip()).id
-                     for label in args.order.split(",")]
-        overlay = build_hierarchy(graph, order)
-        payload = _overlay_payload(graph, overlay)
-        if args.format == "json":
-            _emit_json(payload)
-        else:
-            for s in payload["shortcuts"]:
-                sys.stdout.write(
-                    f"{s['from']} -> {s['to']} via {s['via']}  weight {s['weight']}\n"
-                )
-            if not payload["shortcuts"]:
-                sys.stdout.write("no shortcuts\n")
-        return OK
-
-    if args.command == "export":
-        graph = _load_graph(args.matrix)
-        shortcuts = None
-        if args.with_shortcuts:
-            shortcuts = build_hierarchy(graph).shortcuts
-        invented = None
-        if args.with_invented:
-            policy = PolicyThreshold(args.allowable) if args.allowable is not None else None
-            invented = [e for group in invent_all(graph, policy).values() for e in group]
-        sys.stdout.write(export_dot(graph, overlay=shortcuts, invented=invented))
-        return OK
-
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     try:
@@ -424,7 +430,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
+        return args.run(args)
     except BadOrder as exc:
         sys.stderr.write(f"conicroute: {exc}\n")
         return USAGE_ERROR

@@ -1,4 +1,4 @@
-"""Node contraction with witness search, plus additive chain contraction.
+"""Node contraction with witness search.
 
 Contracting a node u considers in-neighbors that come earlier in the
 contraction order and out-neighbors that come later. For each such pair
@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import AlreadyContracted, BadOrder, EmptyChain
+from .errors import AlreadyContracted, BadOrder
 from .graph import ConicGraph, Edge, NodeId, Provenance
 
 
@@ -48,13 +48,6 @@ class Overlay:
         return self.base.extend([s.as_edge() for s in self.shortcuts])
 
 
-def additive_contract(chain_weights: Sequence[int]) -> int:
-    """Collapse a multi-edge chain into one edge weight by summation."""
-    if not chain_weights:
-        raise EmptyChain("cannot contract an empty chain")
-    return sum(chain_weights)
-
-
 def _bounded_search(out_adj: dict[NodeId, dict[NodeId, int]], start: NodeId,
                     goal: NodeId, bound: int, excluded: frozenset[NodeId]) -> bool:
     """True iff a path start -> goal avoiding excluded weighs <= bound."""
@@ -78,21 +71,6 @@ def _bounded_search(out_adj: dict[NodeId, dict[NodeId, int]], start: NodeId,
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return False
-
-
-def witness_exists(graph: ConicGraph, v: NodeId, w: NodeId, bound: int,
-                   excluded: NodeId) -> bool:
-    """Local search for an alternative v -> w path of weight <= bound.
-
-    The node under contraction is excluded from the search; every other
-    node and edge of the given graph may appear on the witness.
-    """
-    graph._check_node(v)
-    graph._check_node(w)
-    if v == w:
-        raise ValueError("witness endpoints must differ")
-    out_adj = _min_weight_adjacency(graph)
-    return _bounded_search(out_adj, v, w, bound, frozenset((excluded,)))
 
 
 def _min_weight_adjacency(graph: ConicGraph) -> dict[NodeId, dict[NodeId, int]]:

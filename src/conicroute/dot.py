@@ -14,13 +14,16 @@ from .contraction import Shortcut
 from .graph import ConicGraph, NodeKind
 from .invention import InventedEdge
 
-_BARE_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# DOT keywords are case-insensitive and cannot name a node unquoted
+_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
 def _dot_id(label: str) -> str:
-    if _BARE_ID.match(label):
+    if _BARE_ID.fullmatch(label) and label.lower() not in _KEYWORDS:
         return label
-    return '"' + label.replace('"', '\\"') + '"'
+    return '"' + label.translate(_ESCAPES) + '"'
 
 
 def export_dot(graph: ConicGraph, overlay: Sequence[Shortcut] | None = None,

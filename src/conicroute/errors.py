@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Graph construction errors are raised eagerly; structural problems found
-after the fact are reported as Violation records by graph.validate and
-aggregated into ValidationFailed by the matrix ingester.
+Graph construction errors are raised eagerly; the matrix ingester records
+each rejected node or edge as a Violation and aggregates them into
+ValidationFailed. graph.validate reports the same rules as Violation
+records for a graph assembled by other means.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class AlreadyContracted(ConicRouteError):
 
 class BadOrder(ConicRouteError, ValueError):
     """Contraction order is not a permutation of all node ids."""
-
-
-class EmptyChain(ConicRouteError):
-    """Additive contraction needs at least one edge weight."""
 
 
 # --- invention -------------------------------------------------------------

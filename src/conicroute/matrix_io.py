@@ -18,7 +18,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-from . import graph as graph_mod
 from .errors import (
     ConicRouteError,
     DuplicateOffsetInFile,
@@ -29,7 +28,7 @@ from .errors import (
     UnknownNode,
     ValidationFailed,
 )
-from .graph import ConicGraph, NodeKind, Violation
+from .graph import ConicGraph, NodeId, NodeKind, Violation
 from .invention import HiddenPath
 
 
@@ -126,8 +125,9 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     """Lenient graph construction: offending nodes/edges become violations.
 
     Rows become source nodes, columns destination nodes, populated cells
-    original edges. Anything the graph rejects is skipped and recorded, so
-    the returned graph is always frozen and internally consistent.
+    original edges. Anything the graph rejects is skipped and recorded;
+    add_node and add_edge enforce every rule graph.validate audits, so the
+    returned graph is always frozen and valid.
     """
     g = ConicGraph()
     violations: list[Violation] = []
@@ -159,9 +159,7 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
                 g.add_edge(source_ids[row_index], dest_ids[col_index], cell)
             except ConicRouteError as exc:
                 violations.append(Violation(type(exc).__name__, str(exc)))
-    g.freeze()
-    violations.extend(graph_mod.validate(g))
-    return g, violations
+    return g.freeze(), violations
 
 
 def to_graph(matrix: BuildMatrix) -> ConicGraph:
@@ -190,15 +188,18 @@ def from_graph(g: ConicGraph) -> BuildMatrix:
     )
 
 
-def parse_hidden_paths(text: str, g: ConicGraph) -> list[HiddenPath]:
-    """Parse a ``from,to,true_weight`` CSV against a graph's labels."""
+def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], HiddenPath]:
+    """Parse a ``from,to,true_weight`` CSV against a graph's labels.
+
+    Returns the paths keyed by their unordered destination pair, in file
+    order; a pair given twice, in either orientation, is a parse error.
+    """
     records = list(csv.reader(io.StringIO(text)))
     while records and not records[-1]:
         records.pop()
     if not records or records[0] != ["from", "to", "true_weight"]:
         raise MalformedHeader(1, "expected header 'from,to,true_weight'")
-    paths: list[HiddenPath] = []
-    first_line: dict[frozenset[int], int] = {}
+    paths: dict[frozenset[NodeId], HiddenPath] = {}
     for line, record in enumerate(records[1:], start=2):
         if len(record) != 3:
             raise RaggedRow(line, f"expected 3 fields, got {len(record)}")
@@ -211,13 +212,12 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> list[HiddenPath]:
             if node.kind is not NodeKind.DESTINATION:
                 raise ParseError(line, f"{node.label!r} is not a destination")
         pair = frozenset((src.id, dst.id))
-        if pair in first_line:
+        if pair in paths:
+            first = 2 + list(paths).index(pair)  # every earlier row added one entry
             raise ParseError(line, f"duplicate hidden path {src.label!r}-{dst.label!r}, "
-                                   f"first given on line {first_line[pair]}")
-        first_line[pair] = line
-        src, dst = src.id, dst.id
+                                   f"first given on line {first}")
         weight = _int_cell(record[2], line, "true_weight")
         if weight <= 0:
-            raise NonIntegerCell(line, f"true_weight must be positive, got {weight}")
-        paths.append(HiddenPath(src=src, dst=dst, true_weight=weight))
+            raise ParseError(line, f"true_weight must be positive, got {weight}")
+        paths[pair] = HiddenPath(src=src.id, dst=dst.id, true_weight=weight)
     return paths

@@ -124,6 +124,8 @@ def test_query_use_invented_traverses_inventions(capsys):
     assert code == 0
     # triangle equality: routing through the invention never beats the originals
     assert json.loads(out)["best"]["distance"] == 312
+    every = ("query", MATRIX, "--all-sources", "--hidden", HIDDEN, "--format", "table")
+    assert run(capsys, *every, "--use-invented") == run(capsys, *every)
 
 
 def test_query_use_invented_merges_only_the_queried_source(tmp_path, capsys):
@@ -192,6 +194,10 @@ def test_usage_error_exits_1(capsys):
                "--tolerance", "fast")[0] == 1            # non-rational tolerance
     assert run(capsys, "query", MATRIX, "--source", "X",
                "--allowable", "-3")[0] == 1              # non-positive cap
+    # each subcommand takes only the flags it reads
+    assert run(capsys, "build", MATRIX, "--tolerance", "1")[0] == 1
+    assert run(capsys, "export", MATRIX, "--format", "table")[0] == 1
+    assert run(capsys, "invent", MATRIX, "--use-invented")[0] == 1
 
 
 def test_invent_command(capsys):

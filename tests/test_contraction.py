@@ -6,17 +6,10 @@ import random
 
 import pytest
 
-from conicroute.contraction import (
-    Contractor,
-    additive_contract,
-    build_hierarchy,
-    contract_node,
-    witness_exists,
-)
+from conicroute.contraction import Contractor, Shortcut, build_hierarchy, contract_node
 from conicroute.dijkstra import shortest_paths
-from conicroute.errors import AlreadyContracted, EmptyChain, GraphNotFrozen
+from conicroute.errors import AlreadyContracted, GraphNotFrozen
 from conicroute.graph import ConicGraph, NodeKind
-from conicroute.invention import absolute_edge_difference
 
 from conftest import graph_from_edges, min_path_avoiding, random_dag
 
@@ -37,38 +30,36 @@ def test_witness_found_on_detour_pattern():
     g = detour_pattern()
     # enumeration agrees: cheapest v -> w path avoiding u weighs 3
     assert min_path_avoiding(g, 0, 4, banned=3) == 3
-    assert witness_exists(g, 0, 4, bound=4, excluded=3) is True
-    assert witness_exists(g, 0, 4, bound=2, excluded=3) is False
+    assert contract_node(g, 3) == []  # v -> u -> w weighs 4
+    lighter = graph_from_edges(5, [(0, 3, 1), (3, 4, 1), (0, 1, 2), (1, 2, 1), (2, 4, 1)])
+    assert contract_node(lighter, 3) == [Shortcut(0, 4, 2, 3)]  # the detour weighs 4
 
 
 def test_no_witness_when_middle_is_the_only_route():
     g = graph_from_edges(3, [(0, 1, 2), (1, 2, 2)])
-    assert witness_exists(g, 0, 2, bound=4, excluded=1) is False
+    assert contract_node(g, 1) == [Shortcut(0, 2, 4, 1)]
 
 
 def test_direct_edge_is_a_one_edge_witness():
     g = graph_from_edges(3, [(0, 1, 2), (1, 2, 2), (0, 2, 4)])
-    assert witness_exists(g, 0, 2, bound=4, excluded=1) is True
-
-
-def test_witness_endpoints_must_differ():
-    g = graph_from_edges(2, [(0, 1, 1)])
-    with pytest.raises(ValueError):
-        witness_exists(g, 0, 0, bound=1, excluded=1)
+    assert contract_node(g, 1) == []
 
 
 def test_witness_matches_enumeration_exactly():
     rng = random.Random(31)
     for _ in range(60):
         g = random_dag(rng, max_nodes=8, max_weight=20)
-        nodes = range(g.node_count)
-        for _ in range(10):
-            v, w, u = rng.sample(nodes, 3) if g.node_count >= 3 else (0, 1, 1)
-            if v == w:
-                continue
-            bound = rng.randint(1, 60)
-            expected = min_path_avoiding(g, v, w, banned=u) <= bound
-            assert witness_exists(g, v, w, bound, excluded=u) is expected
+        two_hops = [(a, b) for a in g.edges for b in g.edges if a.dst == b.src]
+        for first, second in rng.sample(two_hops, min(10, len(two_hops))):
+            v, u, w = first.src, first.dst, second.dst
+            # u's other out-neighbours come before u and its other in-neighbours
+            # after it, so (v, w) is the only pair u's contraction examines
+            head = [e.dst for e in g.edges if e.src == u and e.dst != w] + [v, u]
+            order = head + [n for n in range(g.node_count) if n not in head]
+            bound = first.weight + second.weight
+            expected = [] if min_path_avoiding(g, v, w, banned=u) <= bound else [
+                Shortcut(v, w, bound, u)]
+            assert contract_node(g, u, order) == expected
 
 
 def test_contract_forced_chain_middle():
@@ -174,25 +165,3 @@ def test_no_shortcut_when_enumeration_finds_a_witness():
                     continue
                 if min_path_avoiding(g, v, w, banned=u) <= win + wout:
                     assert (v, w) not in emitted
-
-
-def test_additive_contract_sums():
-    assert additive_contract([1, 2, 3]) == 6
-    assert additive_contract([312]) == 312
-    with pytest.raises(EmptyChain):
-        additive_contract([])
-
-
-def test_additive_contract_composes_with_invention():
-    ours = additive_contract([100, 200, 300])
-    neighbour = additive_contract([150, 150, 150])
-    assert absolute_edge_difference(ours, neighbour) == 150
-
-
-def test_additive_contract_splits_anywhere():
-    rng = random.Random(3)
-    for _ in range(100):
-        chain = [rng.randint(1, 500) for _ in range(rng.randint(2, 12))]
-        cut = rng.randint(1, len(chain) - 1)
-        whole = additive_contract(chain)
-        assert additive_contract(chain[:cut]) + additive_contract(chain[cut:]) == whole

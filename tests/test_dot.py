@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conicroute.contraction import build_hierarchy
 from conicroute.dot import export_dot
 from conicroute.graph import ConicGraph, NodeKind
@@ -42,6 +47,52 @@ def test_dot_quotes_awkward_labels():
     a = g.add_node("new town", NodeKind.SOURCE, 0)
     b = g.add_node("St. Mary's", NodeKind.DESTINATION, 1)
     g.add_edge(a, b, 9)
+    g.add_node("node", NodeKind.DESTINATION, 2)
+    g.add_node("a\\", NodeKind.DESTINATION, 3)
+    g.add_node("two\nlines", NodeKind.DESTINATION, 4)
     g.freeze()
     text = export_dot(g)
     assert '"new town" -> "St. Mary\'s" [label="9"];' in text
+    assert '  "node" [shape=ellipse];' in text
+    assert '  "a\\\\" [shape=ellipse];' in text
+    assert '  "two\\nlines" [shape=ellipse];' in text
+
+
+_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+_UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
+
+
+def read_dot_id(text: str) -> tuple[str, str]:
+    """Read one DOT ID off the front of text: (the ID's value, the rest)."""
+    bare = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text)
+    if bare:
+        assert bare.group().lower() not in _KEYWORDS, f"bare keyword {bare.group()!r}"
+        return bare.group(), text[bare.end():]
+    assert text.startswith('"'), f"no ID at {text!r}"
+    value, i = [], 1
+    while text[i] != '"':
+        if text[i] == "\\":
+            i += 1
+            value.append(_UNESCAPE[text[i]])
+        else:
+            value.append(text[i])
+        i += 1
+    return "".join(value), text[i + 1:]
+
+
+LABELS = st.text(min_size=1) | st.sampled_from(["node", "Edge", "GRAPH", "strict"])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(labels=st.lists(LABELS, min_size=1, max_size=6, unique=True))
+def test_every_node_statement_reads_back_as_its_label(labels):
+    g = ConicGraph()
+    for offset, label in enumerate(labels):
+        g.add_node(label, NodeKind.DESTINATION, offset)
+    lines = export_dot(g.freeze()).split("\n")
+    assert lines[:2] == ["digraph conic {", "  rankdir=LR;"]
+    assert lines[2 + len(labels):] == ["}", ""]  # no label broke a line
+    for label, line in zip(labels, lines[2:]):
+        assert line.startswith("  ")
+        value, rest = read_dot_id(line[2:])
+        assert (value, rest) == (label, " [shape=ellipse];")

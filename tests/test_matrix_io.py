@@ -160,8 +160,9 @@ def test_parse_hidden_paths(hospital_graph):
     text = "from,to,true_weight\nCMC,MC,500\nPC,SC,100\n"
     paths = parse_hidden_paths(text, hospital_graph)
     assert len(paths) == 2
-    assert paths[0].src == label_id(hospital_graph, "CMC")
-    assert paths[0].true_weight == 500
+    cmc, mc = label_id(hospital_graph, "CMC"), label_id(hospital_graph, "MC")
+    path = paths[frozenset((mc, cmc))]  # keyed by the unordered pair
+    assert (path.src, path.dst, path.true_weight) == (cmc, mc, 500)
 
 
 def test_parse_hidden_paths_errors(hospital_graph):
@@ -173,7 +174,12 @@ def test_parse_hidden_paths_errors(hospital_graph):
     with pytest.raises(RaggedRow):
         parse_hidden_paths("from,to,true_weight\nCMC,MC\n", hospital_graph)
     with pytest.raises(NonIntegerCell):
+        parse_hidden_paths("from,to,true_weight\nCMC,MC,4.5\n", hospital_graph)
+    # a whole but non-positive weight is no malformed cell
+    with pytest.raises(ParseError) as err:
         parse_hidden_paths("from,to,true_weight\nCMC,MC,-4\n", hospital_graph)
+    assert type(err.value) is ParseError
+    assert str(err.value) == "line 2: true_weight must be positive, got -4"
     # hidden paths join destinations, never sources
     with pytest.raises(ParseError):
         parse_hidden_paths("from,to,true_weight\nRumuomasi,MC,10\n", hospital_graph)
@@ -183,6 +189,7 @@ def test_parse_hidden_paths_errors(hospital_graph):
             parse_hidden_paths(f"from,to,true_weight\nCMC,MC,10\nPC,SC,3\n{repeat}\n",
                                hospital_graph)
         assert err.value.line == 4
+        assert str(err.value).endswith("first given on line 2")
 
 
 def test_build_graph_flags_malformed_node_definitions():

@@ -262,8 +262,18 @@ def _emit(args, payload, table: Callable[[Any], str]) -> None:
 # --- subcommands ----------------------------------------------------------------
 
 def _read(path: Path) -> str:
-    # drop the byte-order mark that spreadsheet exports prepend
-    return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConicRouteError(f"cannot read {exc.filename}") from None
+    # line endings become \n as in text mode; utf-8-sig drops the
+    # byte-order mark that spreadsheet exports prepend
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ParseError(line, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def _load_graph(path: Path) -> ConicGraph:
@@ -318,7 +328,10 @@ def _contract(args) -> int:
     graph = _load_graph(args.matrix)
     order = None
     if args.order is not None:
-        order = [graph.node_by_label(label.strip()).id for label in args.order.split(",")]
+        try:
+            order = [graph.node_by_label(label.strip()).id for label in args.order.split(",")]
+        except UnknownNode as exc:
+            raise BadOrder(f"--order: {exc}") from None
     _emit(args, _overlay_payload(graph, build_hierarchy(graph, order)), _overlay_table)
     return OK
 
@@ -434,9 +447,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except BadOrder as exc:
         sys.stderr.write(f"conicroute: {exc}\n")
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"conicroute: cannot read {exc.filename}\n")
-        return PARSE_ERROR
     except ValidationFailed as exc:
         sys.stderr.write(f"conicroute: validation failed: {exc}\n")
         for violation in exc.violations:

@@ -5,16 +5,24 @@ the row/column position they occupy in the transition matrix the graph was
 built from. Adjacency is kept sorted by target offset so that "the next
 destination" of a source is always its offset successor.
 
-A graph is mutable while it is being assembled and immutable after
-freeze(), which also builds the label templates that let a query cost its
-source's fan-out rather than the node count; derived edges (shortcuts from
-contraction, invented edges) never mutate a frozen graph in place —
-extend() returns a new frozen graph.
+While a graph is being assembled, every node holds a topological rank
+(Pearce & Kelly, "A dynamic topological sort algorithm for DAGs", JEA
+2006): a new node takes the next rank, so an edge that runs forward in
+rank is accepted in O(1). Only an edge against the rank order is searched,
+and only within the rank window between its endpoints; it either closes a
+cycle or reorders the nodes of that window.
+
+A graph is immutable after freeze(), which drops the construction-only
+state, builds each node's out-edge view and the label templates that let a
+query cost its source's fan-out rather than the node count. Derived edges
+(shortcuts from contraction, invented edges) never mutate a frozen graph in
+place — extend() returns a new frozen graph.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from math import inf
 
@@ -74,11 +82,17 @@ class ConicGraph:
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._edges: list[Edge] = []
-        self._out: dict[NodeId, list[EdgeId]] = {}
+        self._out: list[list[EdgeId]] = []  # indexed by node id
         self._by_label: dict[str, NodeId] = {}
+        # construction-only state, dropped by freeze()
         self._by_offset: dict[tuple[NodeKind, int], NodeId] = {}
-        self._out_weights: dict[NodeId, set[int]] = {}
-        self._view_cache: dict[NodeId, tuple[Edge, ...]] = {}
+        # filled on first use, so a node without out-edges holds no weight set
+        # and one without in-edges no predecessor list
+        self._out_weights: defaultdict[NodeId, set[int]] = defaultdict(set)
+        self._preds: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
+        self._rank: list[int] = []  # every edge runs from a lower rank to a higher one
+        # built by _seal(): each node's out-edges, sorted by target offset
+        self._views: list[tuple[Edge, ...]] = []
         # search label templates, copied (at C speed) by every query
         self._dist_template: dict[NodeId, int | float] = {}
         self._pred_template: dict[NodeId, NodeId | None] = {}
@@ -100,8 +114,8 @@ class ConicGraph:
         node_id = len(self._nodes)
         node = Node(node_id, label, kind, offset)
         self._nodes.append(node)
-        self._out[node_id] = []
-        self._out_weights[node_id] = set()
+        self._out.append([])
+        self._rank.append(node_id)
         self._by_label[label] = node_id
         self._by_offset[(kind, offset)] = node_id
         return node_id
@@ -119,26 +133,34 @@ class ConicGraph:
             raise EqualAdjacentWeight(
                 f"source {self._nodes[src].label!r} already has an edge of weight {weight}"
             )
-        if self._reaches(dst, src):
-            raise CycleCreated(f"edge {src}->{dst} would close a cycle")
+        if self._rank[src] > self._rank[dst]:
+            self._reorder(src, dst)
         edge_id = len(self._edges)
         self._edges.append(Edge(src, dst, int(weight), Provenance.ORIGINAL))
         self._out[src].append(edge_id)
         self._out_weights[src].add(weight)
+        self._preds[dst].append(src)
         return edge_id
 
     def freeze(self) -> "ConicGraph":
         """Sort adjacency by target offset and seal the graph. Idempotent."""
         if not self._frozen:
+            self._seal()
             # no node can be added once frozen, so the templates stay current
             self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
             self._pred_template = dict.fromkeys(range(len(self._nodes)))
-        return self._seal()
+        return self
 
     def _seal(self) -> "ConicGraph":
-        for edge_ids in self._out.values():
-            edge_ids.sort(key=self._offset_key)
-        self._view_cache = {}
+        """Drop the state only construction reads (a sealed graph never
+        mutates again), then sort adjacency and build the out-edge views."""
+        del self._by_offset, self._out_weights, self._rank, self._preds
+        edges = self._edges
+        self._views = [()] * len(self._out)
+        for node, edge_ids in enumerate(self._out):
+            if edge_ids:
+                edge_ids.sort(key=self._offset_key)
+                self._views[node] = tuple(map(edges.__getitem__, edge_ids))
         self._frozen = True
         return self
 
@@ -152,10 +174,8 @@ class ConicGraph:
         g = ConicGraph()
         g._nodes = list(self._nodes)
         g._edges = list(self._edges)
-        g._out = {n: list(ids) for n, ids in self._out.items()}
+        g._out = [list(ids) for ids in self._out]
         g._by_label = dict(self._by_label)
-        g._by_offset = dict(self._by_offset)
-        g._out_weights = {n: set(w) for n, w in self._out_weights.items()}
         for edge in derived:
             if edge.provenance is Provenance.ORIGINAL:
                 raise ValueError("extend() accepts derived edges only")
@@ -215,16 +235,12 @@ class ConicGraph:
     def out_edges(self, node_id: NodeId) -> tuple[Edge, ...]:
         """All outgoing edges, sorted ascending by target offset.
 
-        Frozen graphs cache the view per node, so repeat queries cost one
-        dict lookup.
+        A frozen graph built every view when it was sealed, so a query
+        costs one list lookup.
         """
         self._check_node(node_id)
         if self._frozen:
-            view = self._view_cache.get(node_id)
-            if view is None:
-                view = tuple(self._edges[i] for i in self._out[node_id])
-                self._view_cache[node_id] = view
-            return view
+            return self._views[node_id]
         edge_ids = sorted(self._out[node_id], key=self._offset_key)
         return tuple(self._edges[i] for i in edge_ids)
 
@@ -258,27 +274,45 @@ class ConicGraph:
         if not self._frozen:
             raise GraphNotFrozen("operation requires a frozen graph")
 
-    def _reaches(self, start: NodeId, goal: NodeId) -> bool:
-        """Depth-first reachability over current edges (cycle guard)."""
-        stack = [start]
-        seen = {start}
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            for edge_id in self._out[node]:
-                nxt = self._edges[edge_id].dst
-                if nxt not in seen:
+    def _reorder(self, src: NodeId, dst: NodeId) -> None:
+        """Make room for an edge src -> dst with rank[src] > rank[dst].
+
+        Only nodes ranked between dst and src can move. The ones reachable
+        from dst form the forward set; reaching src there means the edge
+        closes a cycle. The ones reaching src form the backward set. Both
+        sets then share their pooled ranks, backward set first, so every
+        edge runs forward in rank again, the new one included.
+        """
+        rank, edges, out, preds = self._rank, self._edges, self._out, self._preds
+        low, high = rank[dst], rank[src]
+        forward = [dst]
+        seen = {dst}
+        for node in forward:  # the list grows while it is walked
+            for edge_id in out[node]:
+                nxt = edges[edge_id].dst
+                r = rank[nxt]
+                if r == high:
+                    raise CycleCreated(f"edge {src}->{dst} would close a cycle")
+                if r < high and nxt not in seen:
                     seen.add(nxt)
-                    stack.append(nxt)
-        return False
+                    forward.append(nxt)
+        backward = [src]
+        seen = {src}
+        for node in backward:
+            for prev in preds.get(node, ()):
+                if rank[prev] > low and prev not in seen:
+                    seen.add(prev)
+                    backward.append(prev)
+        moved = sorted(backward, key=rank.__getitem__) + sorted(forward, key=rank.__getitem__)
+        for node, r in zip(moved, sorted([rank[n] for n in moved])):
+            rank[node] = r
 
     def _topological_order(self) -> list[NodeId] | None:
         """Kahn's algorithm; None when the edge set contains a cycle."""
-        indegree = {n.id: 0 for n in self._nodes}
+        indegree = [0] * len(self._nodes)
         for edge in self._edges:
             indegree[edge.dst] += 1
-        ready = sorted(n for n, d in indegree.items() if d == 0)
+        ready = [n for n, d in enumerate(indegree) if d == 0]
         order: list[NodeId] = []
         while ready:
             node = ready.pop()
@@ -294,12 +328,13 @@ class ConicGraph:
 
     def _inject_edge_unchecked(self, src: NodeId, dst: NodeId, weight: int,
                                provenance: Provenance = Provenance.ORIGINAL) -> None:
-        # Test/ingestion hook: bypasses every construction check so that
-        # validate() can be exercised against defective data.
+        # Test/ingestion hook: bypasses every construction check, the rank
+        # included, so that validate() can be exercised against defective data.
         edge_id = len(self._edges)
         self._edges.append(Edge(src, dst, weight, provenance))
         self._out[src].append(edge_id)
-        self._view_cache.pop(src, None)
+        if self._frozen:
+            self._views[src] = tuple(map(self._edges.__getitem__, self._out[src]))
 
 
 def validate(graph: ConicGraph) -> list[Violation]:

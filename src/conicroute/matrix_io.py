@@ -57,14 +57,24 @@ def _int_cell(token: str, line: int, what: str) -> int:
         raise NonIntegerCell(line, f"{what} {token!r} is not an integer") from None
 
 
+def _records(text: str) -> list[list[str]]:
+    """CSV records without trailing blank lines, which are harmless."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ParseError(reader.line_num, str(exc)) from None
+    while records and not records[-1]:
+        records.pop()
+    return records
+
+
 def parse_build_matrix(text: str) -> BuildMatrix:
     """Parse transition-matrix CSV text into a BuildMatrix.
 
     Every parse failure carries the 1-based line it was found on.
     """
-    records = list(csv.reader(io.StringIO(text)))
-    while records and not records[-1]:
-        records.pop()  # trailing blank lines are harmless
+    records = _records(text)
     if not records or not records[0] or records[0][0] != "destinations":
         raise MalformedHeader(1, "expected a 'destinations,<labels...>' line")
     labels = tuple(records[0][1:])
@@ -194,9 +204,7 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
     Returns the paths keyed by their unordered destination pair, in file
     order; a pair given twice, in either orientation, is a parse error.
     """
-    records = list(csv.reader(io.StringIO(text)))
-    while records and not records[-1]:
-        records.pop()
+    records = _records(text)
     if not records or records[0] != ["from", "to", "true_weight"]:
         raise MalformedHeader(1, "expected header 'from,to,true_weight'")
     paths: dict[frozenset[NodeId], HiddenPath] = {}

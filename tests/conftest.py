@@ -9,6 +9,7 @@ from math import inf
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from conicroute.graph import ConicGraph, NodeKind
 from conicroute.matrix_io import parse_build_matrix, to_graph
@@ -16,6 +17,12 @@ from conicroute.matrix_io import parse_build_matrix, to_graph
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 MATRIX_PATH = DATA_DIR / "hospital_matrix.csv"
 HIDDEN_PATH = DATA_DIR / "hidden_paths.csv"
+
+# tier-1 stays deterministic: fixed example streams, no example database,
+# and no per-example deadline on a slow or busy host; tests set only
+# max_examples
+settings.register_profile("conicroute", derandomize=True, database=None, deadline=None)
+settings.load_profile("conicroute")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicroute.cli import main
 
@@ -246,7 +252,8 @@ def test_contract_order_must_name_every_node_once(capsys):
     labels = [n["label"] for n in json.loads(run(capsys, "build", MATRIX)[1])["nodes"]]
     partial = "CMC"
     duplicated = ",".join(labels[:-1] + labels[:1])
-    for order in (partial, duplicated):
+    unknown = ",".join(labels[:-1] + ["Z"])
+    for order in (partial, duplicated, unknown):
         code, out, err = run(capsys, "contract", MATRIX, "--order", order)
         assert code == 1
         assert out == ""
@@ -268,6 +275,16 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
         assert run(capsys, *marked_args) == plain
 
 
+def test_crlf_and_cr_line_ends_read_as_lf(tmp_path, capsys):
+    plain = run(capsys, "query", MATRIX, "--all-sources", "--hidden", HIDDEN)
+    assert plain[0] == 0
+    matrix, hidden = tmp_path / "matrix.csv", tmp_path / "hidden.csv"
+    for ending in (b"\r\n", b"\r"):
+        matrix.write_bytes(MATRIX_PATH.read_bytes().replace(b"\n", ending))
+        hidden.write_bytes(HIDDEN_PATH.read_bytes().replace(b"\n", ending))
+        assert run(capsys, "query", str(matrix), "--all-sources", "--hidden", str(hidden)) == plain
+
+
 def test_query_duplicate_hidden_pair_exits_2(tmp_path, capsys):
     hidden = tmp_path / "hidden.csv"
     hidden.write_text("from,to,true_weight\nCMC,MC,500\nPC,SC,100\nMC,CMC,459\n")
@@ -276,3 +293,61 @@ def test_query_duplicate_hidden_pair_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 4" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "directory", "field_over_csv_limit"])
+@pytest.mark.parametrize("role", ["matrix", "hidden"])
+def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, role, kind):
+    valid = {"matrix": MATRIX_PATH, "hidden": HIDDEN_PATH}[role].read_bytes()
+    path = tmp_path / f"{role}.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(valid.replace(b"\n", b"\n\xff", 1))  # line 2 opens with 0xff
+    else:
+        path.write_bytes(valid + b'"' + b"9" * 140_000 + b'"\n')
+    files = {"matrix": MATRIX, "hidden": HIDDEN, role: str(path)}
+    code, out, err = run(capsys, "query", files["matrix"], "--all-sources",
+                         "--hidden", files["hidden"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("conicroute: ") and err.count("\n") == 1
+    if kind == "not_utf8":
+        assert err.startswith("conicroute: line 2: not UTF-8")
+
+
+def _spliced(valid: bytes):
+    """Arbitrary bytes, or a valid file with a run of arbitrary bytes spliced in."""
+    return st.one_of(
+        st.binary(max_size=300),
+        st.tuples(st.integers(0, len(valid)), st.integers(0, 40), st.binary(max_size=24)).map(
+            lambda cut: valid[:cut[0]] + cut[2] + valid[cut[0] + cut[1]:]
+        ),
+    )
+
+
+def _ends_cleanly(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)  # an escaping exception would be a traceback
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or err.getvalue().startswith("conicroute: ")
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150)
+@given(_spliced(MATRIX_PATH.read_bytes()))
+def test_any_matrix_bytes_end_in_a_documented_exit(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any_matrix.csv"
+    path.write_bytes(data)
+    for argv in (["build"], ["validate"], ["query", "--all-sources"], ["invent"],
+                 ["contract"], ["export", "--invent", "--contract"]):
+        _ends_cleanly([argv[0], str(path), *argv[1:]])
+
+
+@settings(max_examples=150)
+@given(_spliced(HIDDEN_PATH.read_bytes()))
+def test_any_hidden_path_bytes_end_in_a_documented_exit(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any_hidden.csv"
+    path.write_bytes(data)
+    _ends_cleanly(["query", MATRIX, "--all-sources", "--hidden", str(path)])

@@ -83,7 +83,7 @@ def read_dot_id(text: str) -> tuple[str, str]:
 LABELS = st.text(min_size=1) | st.sampled_from(["node", "Edge", "GRAPH", "strict"])
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(labels=st.lists(LABELS, min_size=1, max_size=6, unique=True))
 def test_every_node_statement_reads_back_as_its_label(labels):
     g = ConicGraph()

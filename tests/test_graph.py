@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicroute.errors import (
     CycleCreated,
@@ -101,6 +103,80 @@ def test_add_edge_cycle_rejected():
         g.add_edge(c, a, 3)
     with pytest.raises(CycleCreated):
         g.add_edge(a, a, 3)
+
+
+def _reaches(edges: list[tuple[int, int]], start: int, goal: int) -> bool:
+    """Brute-force reachability over an edge list."""
+    seen, stack = {start}, [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for src, dst in edges:
+            if src == node and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return False
+
+
+@st.composite
+def _edge_streams(draw):
+    """Node count and an edge insertion sequence. Most edges follow a hidden
+    topological order that is unrelated to node creation order; the rest run
+    against it and may close a cycle."""
+    n = draw(st.integers(2, 9))
+    topo = draw(st.permutations(range(n)))
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3)),
+        max_size=40,
+    ))
+    edges = []
+    for a, b, kind in steps:
+        low, high = sorted((a, b))
+        edges.append((topo[high], topo[low]) if kind == 0 else (topo[low], topo[high]))
+    return n, edges
+
+
+@settings(max_examples=400)
+@given(_edge_streams())
+def test_add_edge_refuses_exactly_the_cycle_closing_edges(stream):
+    n, edges = stream
+    g = ConicGraph()
+    for i in range(n):
+        g.add_node(f"n{i}", NodeKind.SOURCE, i)
+    accepted: list[tuple[int, int]] = []
+    for weight, (src, dst) in enumerate(edges, start=1):
+        if src == dst or _reaches(accepted, dst, src):
+            ranks = list(g._rank)
+            with pytest.raises(CycleCreated):
+                g.add_edge(src, dst, weight)
+            assert g._rank == ranks  # a refused edge moves nothing
+            continue
+        g.add_edge(src, dst, weight)
+        accepted.append((src, dst))
+        assert sorted(g._rank) == list(range(n))
+        assert all(g._rank[e.src] < g._rank[e.dst] for e in g.edges)
+    assert [(e.src, e.dst) for e in g.edges] == accepted
+
+
+@pytest.mark.parametrize("shape", ["forward", "reverse", "against_creation_order"])
+def test_long_chain_builds_and_refuses_its_closing_edge(shape):
+    n = 4000
+    g = ConicGraph()
+    for i in range(n):
+        g.add_node(f"n{i}", NodeKind.SOURCE, i)
+    links = [(i, i + 1) for i in range(n - 1)]
+    if shape == "reverse":
+        links.reverse()
+    elif shape == "against_creation_order":
+        links = [(dst, src) for src, dst in links]
+    for src, dst in links:
+        g.add_edge(src, dst, 1)
+    first, last = (0, n - 1) if shape != "against_creation_order" else (n - 1, 0)
+    with pytest.raises(CycleCreated):
+        g.add_edge(last, first, 1)
+    assert g.edge_count == n - 1
+    assert validate(g.freeze()) == []
 
 
 def test_freeze_blocks_mutation_and_queries_still_work():

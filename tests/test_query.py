@@ -65,7 +65,7 @@ def reference_query(matrix: BuildMatrix, row: MatrixRow,
     return best, alternates
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data(), matrix=matrices())
 def test_cmd_query_matches_brute_force(data, matrix):
     graph = to_graph(matrix)
@@ -159,7 +159,7 @@ def test_best_skips_sources_and_breaks_distance_ties_by_offset():
     assert cmd_query(g, "s0", invent=False).best == ("e", 6, ["s0", "e"])
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(matrix=matrices())
 def test_own_inventions_change_no_search_on_a_matrix(matrix):
     # min + invented = max: a path through a source's own inventions only

@@ -1,15 +1,17 @@
 """Command-line surface: build, validate, query, invent, contract, export.
 
 Exit codes: 0 success, 1 usage error, 2 parse or validation failure,
-3 query failure (unknown label or unreachable). JSON output is the
-machine format and is byte-identical for identical inputs; ``--format
-table`` renders the same data for people.
+3 query failure (unknown label or unreachable). A reader that closes
+stdout early (``| head``) ends the run with exit 0 and no message. JSON
+output is the machine format and is byte-identical for identical inputs;
+``--format table`` renders the same data for people.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -464,7 +466,13 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:  # the reader stopped early; exit flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Classic heap-driven search: every label starts at infinity except the
 source, EXTRACT-MIN settles one node per round, and each outgoing edge is
-relaxed. The frontier uses lazy re-insertion; stale heap entries are
-discarded on pop against the settled set. Ties on distance settle the
-smaller node id first, so runs are deterministic.
+relaxed. The frontier uses lazy re-insertion. relax() pushes a node only
+when its label strictly drops and weights are positive, so an entry is
+stale exactly when its distance exceeds the node's label; stale entries
+are discarded on pop against that label, with no settled set. Ties on
+distance settle the smaller node id first, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ from .graph import ConicGraph, Edge, NodeId, Provenance
 class SearchState:
     """Working state of one search; final once the frontier is drained.
 
-    A state belongs to a single query; any number of queries may run
-    concurrently over one frozen graph.
+    ``dist`` holds every node of the graph (infinite when unreached);
+    ``pred`` holds reached nodes only, the source mapped to None. A state
+    belongs to a single query; any number of queries may run concurrently
+    over one frozen graph.
     """
 
     source: NodeId
     dist: dict[NodeId, int | float]
     pred: dict[NodeId, NodeId | None]
     frontier: list[tuple[int | float, NodeId]] = field(default_factory=list)
-    settled: set[NodeId] = field(default_factory=set)
     settled_order: list[NodeId] = field(default_factory=list)
 
 
@@ -61,22 +64,22 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
 
     Only original edges are traversed unless use_invented is set, in which
     case shortcut and invented edges participate as well. Unreachable nodes
-    keep an infinite distance label.
+    keep an infinite distance label and have no ``pred`` entry; the nodes
+    in ``pred`` are exactly those in ``settled_order``.
     """
     graph._require_frozen()
     graph._check_node(source)
     state = SearchState(
         source=source,
         dist=graph._dist_template.copy(),
-        pred=graph._pred_template.copy(),
+        pred={source: None},
     )
     state.dist[source] = 0
     heapq.heappush(state.frontier, (0, source))
     while state.frontier:
-        _, node = heapq.heappop(state.frontier)
-        if node in state.settled:
-            continue  # stale entry superseded by an earlier relaxation
-        state.settled.add(node)
+        d, node = heapq.heappop(state.frontier)
+        if d > state.dist[node]:
+            continue  # stale entry superseded by a later, smaller label
         state.settled_order.append(node)
         for edge in graph.out_edges(node):
             if not use_invented and edge.provenance is not Provenance.ORIGINAL:

@@ -13,10 +13,11 @@ and only within the rank window between its endpoints; it either closes a
 cycle or reorders the nodes of that window.
 
 A graph is immutable after freeze(), which drops the construction-only
-state, builds each node's out-edge view and the label templates that let a
-query cost its source's fan-out rather than the node count. Derived edges
+state, turns each node's out-edge list into a tuple sorted by target
+offset and builds the one label template a query copies, so that a query
+costs its source's fan-out rather than the node count. Derived edges
 (shortcuts from contraction, invented edges) never mutate a frozen graph in
-place — extend() returns a new frozen graph.
+place — extend() returns a new frozen graph sharing the base's nodes.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class ConicGraph:
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._edges: list[Edge] = []
-        self._out: list[list[EdgeId]] = []  # indexed by node id
+        self._out: list[list[Edge]] = []  # by node id; sorted tuples once frozen
         self._by_label: dict[str, NodeId] = {}
         # construction-only state, dropped by freeze()
         self._by_offset: dict[tuple[NodeKind, int], NodeId] = {}
@@ -91,11 +92,8 @@ class ConicGraph:
         self._out_weights: defaultdict[NodeId, set[int]] = defaultdict(set)
         self._preds: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
         self._rank: list[int] = []  # every edge runs from a lower rank to a higher one
-        # built by _seal(): each node's out-edges, sorted by target offset
-        self._views: list[tuple[Edge, ...]] = []
-        # search label templates, copied (at C speed) by every query
+        # search distance template, copied (at C speed) by every query
         self._dist_template: dict[NodeId, int | float] = {}
-        self._pred_template: dict[NodeId, NodeId | None] = {}
         self._frozen = False
 
     # --- construction -----------------------------------------------------
@@ -135,33 +133,25 @@ class ConicGraph:
             )
         if self._rank[src] > self._rank[dst]:
             self._reorder(src, dst)
-        edge_id = len(self._edges)
-        self._edges.append(Edge(src, dst, int(weight), Provenance.ORIGINAL))
-        self._out[src].append(edge_id)
+        edge = Edge(src, dst, int(weight), Provenance.ORIGINAL)
+        self._edges.append(edge)
+        self._out[src].append(edge)
         self._out_weights[src].add(weight)
         self._preds[dst].append(src)
-        return edge_id
+        return len(self._edges) - 1
 
     def freeze(self) -> "ConicGraph":
         """Sort adjacency by target offset and seal the graph. Idempotent."""
         if not self._frozen:
-            self._seal()
-            # no node can be added once frozen, so the templates stay current
-            self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
-            self._pred_template = dict.fromkeys(range(len(self._nodes)))
-        return self
-
-    def _seal(self) -> "ConicGraph":
-        """Drop the state only construction reads (a sealed graph never
-        mutates again), then sort adjacency and build the out-edge views."""
-        del self._by_offset, self._out_weights, self._rank, self._preds
-        edges = self._edges
-        self._views = [()] * len(self._out)
-        for node, edge_ids in enumerate(self._out):
-            if edge_ids:
-                edge_ids.sort(key=self._offset_key)
-                self._views[node] = tuple(map(edges.__getitem__, edge_ids))
-        self._frozen = True
+            # drop the state only construction reads: a frozen graph never mutates
+            del self._by_offset, self._out_weights, self._rank, self._preds
+            # a stable sort, so a derived edge follows the parallel edge it copies
+            key = self._offset_key
+            self._out = [tuple(sorted(edges, key=key)) if edges else () for edges in self._out]
+            # no node can be added once frozen, so the template stays current
+            if not self._dist_template:  # extend() hands its copy the base's
+                self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
+            self._frozen = True
         return self
 
     def extend(self, derived: "list[Edge] | tuple[Edge, ...]") -> "ConicGraph":
@@ -172,10 +162,10 @@ class ConicGraph:
         """
         self._require_frozen()
         g = ConicGraph()
-        g._nodes = list(self._nodes)
+        # a frozen node set never changes, so the copy shares what depends on it
+        g._nodes, g._by_label, g._dist_template = self._nodes, self._by_label, self._dist_template
         g._edges = list(self._edges)
-        g._out = [list(ids) for ids in self._out]
-        g._by_label = dict(self._by_label)
+        g._out = [list(edges) for edges in self._out]
         for edge in derived:
             if edge.provenance is Provenance.ORIGINAL:
                 raise ValueError("extend() accepts derived edges only")
@@ -185,14 +175,11 @@ class ConicGraph:
                 raise NonPositiveWeight(f"derived edge weight must be > 0, got {edge.weight}")
             if edge.src == edge.dst:
                 raise CycleCreated(f"self loop on node {edge.src}")
-            edge_id = len(g._edges)
             g._edges.append(edge)
-            g._out[edge.src].append(edge_id)
+            g._out[edge.src].append(edge)
         if g._topological_order() is None:
             raise CycleCreated("derived edges close a cycle")
-        # same nodes as this graph, so its label templates serve the copy too
-        g._dist_template, g._pred_template = self._dist_template, self._pred_template
-        return g._seal()
+        return g.freeze()
 
     # --- queries ------------------------------------------------------------
 
@@ -235,14 +222,13 @@ class ConicGraph:
     def out_edges(self, node_id: NodeId) -> tuple[Edge, ...]:
         """All outgoing edges, sorted ascending by target offset.
 
-        A frozen graph built every view when it was sealed, so a query
+        A frozen graph sorted every node's tuple at freeze(), so a query
         costs one list lookup.
         """
         self._check_node(node_id)
         if self._frozen:
-            return self._views[node_id]
-        edge_ids = sorted(self._out[node_id], key=self._offset_key)
-        return tuple(self._edges[i] for i in edge_ids)
+            return self._out[node_id]
+        return tuple(sorted(self._out[node_id], key=self._offset_key))
 
     def neighbors_ascending(self, node_id: NodeId) -> list[tuple[NodeId, int]]:
         """(target, weight) pairs in ascending target-offset order."""
@@ -258,9 +244,8 @@ class ConicGraph:
 
     # --- internals ----------------------------------------------------------
 
-    def _offset_key(self, edge_id: EdgeId) -> tuple[int, int]:
-        dst = self._edges[edge_id].dst
-        return (self._nodes[dst].offset, dst)
+    def _offset_key(self, edge: Edge) -> tuple[int, int]:
+        return (self._nodes[edge.dst].offset, edge.dst)
 
     def _check_node(self, node_id: NodeId) -> None:
         if not 0 <= node_id < len(self._nodes):
@@ -283,13 +268,13 @@ class ConicGraph:
         sets then share their pooled ranks, backward set first, so every
         edge runs forward in rank again, the new one included.
         """
-        rank, edges, out, preds = self._rank, self._edges, self._out, self._preds
+        rank, out, preds = self._rank, self._out, self._preds
         low, high = rank[dst], rank[src]
         forward = [dst]
         seen = {dst}
         for node in forward:  # the list grows while it is walked
-            for edge_id in out[node]:
-                nxt = edges[edge_id].dst
+            for edge in out[node]:
+                nxt = edge.dst
                 r = rank[nxt]
                 if r == high:
                     raise CycleCreated(f"edge {src}->{dst} would close a cycle")
@@ -317,8 +302,8 @@ class ConicGraph:
         while ready:
             node = ready.pop()
             order.append(node)
-            for edge_id in self._out[node]:
-                dst = self._edges[edge_id].dst
+            for edge in self._out[node]:
+                dst = edge.dst
                 indegree[dst] -= 1
                 if indegree[dst] == 0:
                     ready.append(dst)
@@ -329,12 +314,11 @@ class ConicGraph:
     def _inject_edge_unchecked(self, src: NodeId, dst: NodeId, weight: int,
                                provenance: Provenance = Provenance.ORIGINAL) -> None:
         # Test/ingestion hook: bypasses every construction check, the rank
-        # included, so that validate() can be exercised against defective data.
-        edge_id = len(self._edges)
-        self._edges.append(Edge(src, dst, weight, provenance))
-        self._out[src].append(edge_id)
-        if self._frozen:
-            self._views[src] = tuple(map(self._edges.__getitem__, self._out[src]))
+        # included, so that validate() can be exercised against defective
+        # data. On a frozen graph += replaces the node's tuple.
+        edge = Edge(src, dst, weight, provenance)
+        self._edges.append(edge)
+        self._out[src] += (edge,)
 
 
 def validate(graph: ConicGraph) -> list[Violation]:

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conicroute
 from conicroute.cli import main
 
 from conftest import HIDDEN_PATH, MATRIX_PATH
@@ -351,3 +356,22 @@ def test_any_hidden_path_bytes_end_in_a_documented_exit(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "any_hidden.csv"
     path.write_bytes(data)
     _ends_cleanly(["query", MATRIX, "--all-sources", "--hidden", str(path)])
+
+
+@pytest.mark.parametrize("argv", [["query", MATRIX, "--all-sources"], ["export", MATRIX]],
+                         ids=["query_all_sources", "export"])
+def test_stdout_closed_by_its_reader_exits_0_quietly(argv):
+    # the read end is closed before the child starts, so every write it
+    # makes to stdout fails, whatever the output's size or buffering
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(conicroute.__file__).parents[1]))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", "from conicroute.cli import entrypoint; entrypoint()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 0
+    assert child.stderr == b""

@@ -81,6 +81,18 @@ def test_settled_order_is_monotone():
         state = shortest_paths(g, 0)
         distances = [state.dist[n] for n in state.settled_order]
         assert distances == sorted(distances)
+        # each reached node is settled once, and only reached nodes have a pred
+        reached = [n for n, d in state.dist.items() if d != inf]
+        assert sorted(state.settled_order) == reached
+        assert set(state.pred) == set(state.settled_order)
+    # a's first label (10, via s) is stale once b lowers it to 3: its heap
+    # entry must be skipped, not settle a a second time
+    s, a, b = range(3)
+    g = graph_from_edges(3, [(s, a, 10), (s, b, 1), (b, a, 2)], labels=["s", "a", "b"])
+    state = shortest_paths(g, s)
+    assert state.settled_order == [s, b, a]
+    assert state.pred == {s: None, b: s, a: b}
+    assert state.dist == {s: 0, a: 3, b: 1}
 
 
 def test_path_weights_sum_to_distance():

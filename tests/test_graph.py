@@ -266,6 +266,13 @@ def test_extend_returns_new_frozen_graph(hospital_graph):
     assert extended.edge_count == g.edge_count + 1
     assert g.edge_count == 8  # base untouched
     assert (mc, 459) in extended.neighbors_ascending(cmc)
+    # a derived edge parallel to an original one sorts right after it
+    rum = label_id(g, "Rumuomasi")
+    original = g.out_edges(rum)
+    parallel = Edge(rum, cmc, 999, Provenance.SHORTCUT)
+    at_cmc = [e for e in g.extend([parallel]).out_edges(rum) if e.dst == cmc]
+    assert at_cmc == [e for e in original if e.dst == cmc] + [parallel]
+    assert g.out_edges(rum) == original
 
 
 def test_extend_rejects_cycles(hospital_graph):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,11 +122,15 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
 def _fitness_payload(report: FitnessReport | None):
     if report is None:
         return None
+    try:
+        relative_error = float(report.relative_error)
+    except OverflowError:  # past the float range, which JSON cannot write
+        relative_error = None
     return {
         "invented_weight": report.invented_weight,
         "hidden_weight": report.hidden_weight,
         "absolute_error": report.absolute_error,
-        "relative_error": float(report.relative_error),
+        "relative_error": relative_error,
         "fit": report.fit,
     }
 
@@ -360,8 +365,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+# Fraction("1eN") builds 10**N, so a long exponent would keep parsing for
+# hours; a ratio of two legal weights (up to 4,300 digits each) needs far less
+MAX_TOLERANCE_EXPONENT = 10_000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _tolerance(text: str) -> Fraction:
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > MAX_TOLERANCE_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"tolerance exponent must lie within ±{MAX_TOLERANCE_EXPONENT}: {text!r}")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")

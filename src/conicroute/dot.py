@@ -11,13 +11,19 @@ import re
 from typing import Iterable, Sequence
 
 from .contraction import Shortcut
-from .graph import ConicGraph, NodeKind
+from .graph import ConicGraph, NodeKind, Provenance
 from .invention import InventedEdge
 
 _BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # DOT keywords are case-insensitive and cannot name a node unquoted
 _KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+# what follows an edge's weight label
+_STYLE = {
+    Provenance.ORIGINAL: "",
+    Provenance.SHORTCUT: ", style=dashed",
+    Provenance.INVENTED: ", style=dotted",
+}
 
 
 def _dot_id(label: str) -> str:
@@ -37,22 +43,11 @@ def export_dot(graph: ConicGraph, overlay: Sequence[Shortcut] | None = None,
         shape = "box" if node.kind is NodeKind.SOURCE else "ellipse"
         lines.append(f"  {label[node.id]} [shape={shape}];")
     for edge in graph.edges:
-        style = {"original": "solid", "shortcut": "dashed", "invented": "dotted"}[
-            edge.provenance.value
-        ]
-        suffix = "" if style == "solid" else f", style={style}"
-        lines.append(
-            f'  {label[edge.src]} -> {label[edge.dst]} [label="{edge.weight}"{suffix}];'
-        )
-    for shortcut in overlay or ():
-        lines.append(
-            f'  {label[shortcut.src]} -> {label[shortcut.dst]} '
-            f'[label="{shortcut.weight}", style=dashed];'
-        )
-    for edge in invented or ():
-        lines.append(
-            f'  {label[edge.src]} -> {label[edge.dst]} '
-            f'[label="{edge.weight}", style=dotted];'
-        )
+        lines.append(f'  {label[edge.src]} -> {label[edge.dst]} '
+                     f'[label="{edge.weight}"{_STYLE[edge.provenance]}];')
+    for edges, style in ((overlay or (), _STYLE[Provenance.SHORTCUT]),
+                         (invented or (), _STYLE[Provenance.INVENTED])):
+        for edge in edges:
+            lines.append(f'  {label[edge.src]} -> {label[edge.dst]} [label="{edge.weight}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

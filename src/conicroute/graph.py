@@ -17,7 +17,8 @@ state, turns each node's out-edge list into a tuple sorted by target
 offset and builds the one label template a query copies, so that a query
 costs its source's fan-out rather than the node count. Derived edges
 (shortcuts from contraction, invented edges) never mutate a frozen graph in
-place — extend() returns a new frozen graph sharing the base's nodes.
+place — extend() returns a new frozen graph that shares the base's nodes,
+label template and every adjacency tuple it leaves untouched.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ class ConicGraph:
         self._out_weights: defaultdict[NodeId, set[int]] = defaultdict(set)
         self._preds: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
         self._rank: list[int] = []  # every edge runs from a lower rank to a higher one
-        # search distance template, copied (at C speed) by every query
-        self._dist_template: dict[NodeId, int | float] = {}
         self._frozen = False
 
     # --- construction -----------------------------------------------------
@@ -121,12 +120,7 @@ class ConicGraph:
     def add_edge(self, src: NodeId, dst: NodeId, weight: int) -> EdgeId:
         """Record an original edge; adjacency stays sorted by target offset."""
         self._require_mutable()
-        self._check_node(src)
-        self._check_node(dst)
-        if weight <= 0:
-            raise NonPositiveWeight(f"edge weight must be > 0, got {weight}")
-        if src == dst:
-            raise CycleCreated(f"self loop on node {src}")
+        self._check_edge(src, dst, weight)
         if weight in self._out_weights[src]:
             raise EqualAdjacentWeight(
                 f"source {self._nodes[src].label!r} already has an edge of weight {weight}"
@@ -145,12 +139,12 @@ class ConicGraph:
         if not self._frozen:
             # drop the state only construction reads: a frozen graph never mutates
             del self._by_offset, self._out_weights, self._rank, self._preds
-            # a stable sort, so a derived edge follows the parallel edge it copies
+            # a stable sort, so parallel edges keep the order they were added in
             key = self._offset_key
             self._out = [tuple(sorted(edges, key=key)) if edges else () for edges in self._out]
-            # no node can be added once frozen, so the template stays current
-            if not self._dist_template:  # extend() hands its copy the base's
-                self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
+            # search distance template, copied (at C speed) by every query; no
+            # node can be added once frozen, so it stays current
+            self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
             self._frozen = True
         return self
 
@@ -158,28 +152,28 @@ class ConicGraph:
         """Return a new frozen graph with derived (shortcut/invented) edges added.
 
         The base graph is left untouched. The combined edge set must stay
-        acyclic; derived edges may not reuse the ORIGINAL provenance.
+        acyclic; derived edges may not reuse the ORIGINAL provenance. The
+        copy shares the base's nodes and label template and every adjacency
+        tuple it adds nothing to, so it costs its derived edges, not the graph.
         """
         self._require_frozen()
-        g = ConicGraph()
-        # a frozen node set never changes, so the copy shares what depends on it
-        g._nodes, g._by_label, g._dist_template = self._nodes, self._by_label, self._dist_template
-        g._edges = list(self._edges)
-        g._out = [list(edges) for edges in self._out]
+        added: dict[NodeId, list[Edge]] = {}
         for edge in derived:
             if edge.provenance is Provenance.ORIGINAL:
                 raise ValueError("extend() accepts derived edges only")
-            g._check_node(edge.src)
-            g._check_node(edge.dst)
-            if edge.weight <= 0:
-                raise NonPositiveWeight(f"derived edge weight must be > 0, got {edge.weight}")
-            if edge.src == edge.dst:
-                raise CycleCreated(f"self loop on node {edge.src}")
-            g._edges.append(edge)
-            g._out[edge.src].append(edge)
-        if g._topological_order() is None:
+            self._check_edge(edge.src, edge.dst, edge.weight)
+            added.setdefault(edge.src, []).append(edge)
+        # built field by field: copy.copy reads self.__dict__, which would move
+        # this graph's attributes into a dict that slows every later query
+        g = ConicGraph.__new__(ConicGraph)
+        g._nodes, g._by_label, g._dist_template = self._nodes, self._by_label, self._dist_template
+        g._edges, g._out, g._frozen = self._edges + list(derived), list(self._out), True
+        for src, edges in added.items():
+            # a stable sort, so a derived edge follows the parallel edge it copies
+            g._out[src] = tuple(sorted(self._out[src] + tuple(edges), key=self._offset_key))
+        if added and g._topological_order() is None:
             raise CycleCreated("derived edges close a cycle")
-        return g.freeze()
+        return g
 
     # --- queries ------------------------------------------------------------
 
@@ -234,14 +228,6 @@ class ConicGraph:
         """(target, weight) pairs in ascending target-offset order."""
         return [(e.dst, e.weight) for e in self.out_edges(node_id)]
 
-    def original_neighbors_ascending(self, node_id: NodeId) -> list[tuple[NodeId, int]]:
-        """Like neighbors_ascending but restricted to original edges."""
-        return [
-            (e.dst, e.weight)
-            for e in self.out_edges(node_id)
-            if e.provenance is Provenance.ORIGINAL
-        ]
-
     # --- internals ----------------------------------------------------------
 
     def _offset_key(self, edge: Edge) -> tuple[int, int]:
@@ -250,6 +236,15 @@ class ConicGraph:
     def _check_node(self, node_id: NodeId) -> None:
         if not 0 <= node_id < len(self._nodes):
             raise UnknownNode(f"no node with id {node_id}")
+
+    def _check_edge(self, src: NodeId, dst: NodeId, weight: int) -> None:
+        """The rules every edge obeys, original or derived."""
+        self._check_node(src)
+        self._check_node(dst)
+        if weight <= 0:
+            raise NonPositiveWeight(f"edge weight must be > 0, got {weight}")
+        if src == dst:
+            raise CycleCreated(f"self loop on node {src}")
 
     def _require_mutable(self) -> None:
         if self._frozen:

@@ -3,9 +3,8 @@
 For one source, its destinations are walked in ascending offset order as
 consecutive pairs. Within a pair the smaller source edge is the found
 short path; a new edge is invented from that destination to its neighbour,
-weighing the absolute difference of the two source edges. Inventions of
-weight zero are skipped, and an optional policy threshold suppresses any
-invention heavier than the allowable cap.
+weighing the absolute difference of the two source edges. An optional
+policy threshold suppresses any invention heavier than the allowable cap.
 
 Invented weights sit exactly on the lower triangle-inequality bound of the
 pair, so min + invented = max always holds. A known hidden path between
@@ -112,8 +111,6 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
                  if e.provenance is Provenance.ORIGINAL]
     for first, second in pairwise(originals):
         weight = absolute_edge_difference(first.weight, second.weight)
-        if weight == 0:
-            continue  # empty invention, ignored
         if policy is not None and not policy.admits(weight):
             continue
         if first.weight < second.weight:

@@ -28,7 +28,7 @@ from .errors import (
     UnknownNode,
     ValidationFailed,
 )
-from .graph import ConicGraph, NodeId, NodeKind, Violation
+from .graph import ConicGraph, NodeId, NodeKind, Provenance, Violation
 from .invention import HiddenPath
 
 
@@ -122,7 +122,11 @@ def parse_build_matrix(text: str) -> BuildMatrix:
 def emit_build_matrix(matrix: BuildMatrix) -> str:
     """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting)."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    # a writer that ends lines in LF leaves a CR bare, and a reader ends the
+    # line there; so a matrix with a CR in a label is quoted throughout
+    labels = (*matrix.destination_labels, *(row.source_label for row in matrix.rows))
+    quoting = csv.QUOTE_ALL if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
+    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
     writer.writerow(["destinations", *matrix.destination_labels])
     writer.writerow(["offsets", *matrix.destination_offsets])
     for row in matrix.rows:
@@ -141,34 +145,27 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     """
     g = ConicGraph()
     violations: list[Violation] = []
-    source_ids: dict[int, int] = {}
-    dest_ids: dict[int, int] = {}
-    for index, row in enumerate(matrix.rows):
+
+    def attempt(add, *args) -> int | None:
+        """add(*args), or None with the rejection recorded as a violation."""
         try:
-            source_ids[index] = g.add_node(row.source_label, NodeKind.SOURCE, row.source_offset)
+            return add(*args)
         except ConicRouteError as exc:
             violations.append(Violation(type(exc).__name__, str(exc)))
         except ValueError as exc:
             violations.append(Violation("InvalidNode", str(exc)))
-    for index, (label, offset) in enumerate(
-        zip(matrix.destination_labels, matrix.destination_offsets)
-    ):
-        try:
-            dest_ids[index] = g.add_node(label, NodeKind.DESTINATION, offset)
-        except ConicRouteError as exc:
-            violations.append(Violation(type(exc).__name__, str(exc)))
-        except ValueError as exc:
-            violations.append(Violation("InvalidNode", str(exc)))
-    for row_index, row in enumerate(matrix.rows):
-        if row_index not in source_ids:
+        return None
+
+    source_ids = [attempt(g.add_node, row.source_label, NodeKind.SOURCE, row.source_offset)
+                  for row in matrix.rows]
+    dest_ids = [attempt(g.add_node, label, NodeKind.DESTINATION, offset)
+                for label, offset in zip(matrix.destination_labels, matrix.destination_offsets)]
+    for src, row in zip(source_ids, matrix.rows):
+        if src is None:
             continue
-        for col_index, cell in enumerate(row.cells):
-            if cell is None or col_index not in dest_ids:
-                continue
-            try:
-                g.add_edge(source_ids[row_index], dest_ids[col_index], cell)
-            except ConicRouteError as exc:
-                violations.append(Violation(type(exc).__name__, str(exc)))
+        for dst, cell in zip(dest_ids, row.cells):
+            if cell is not None and dst is not None:
+                attempt(g.add_edge, src, dst, cell)
     return g.freeze(), violations
 
 
@@ -187,9 +184,9 @@ def from_graph(g: ConicGraph) -> BuildMatrix:
     rows = []
     for source in sorted(g.sources(), key=lambda n: n.offset):
         cells: list[int | None] = [None] * len(dests)
-        for dst, weight in g.original_neighbors_ascending(source.id):
-            if dst in column:
-                cells[column[dst]] = weight
+        for edge in g.out_edges(source.id):
+            if edge.provenance is Provenance.ORIGINAL and edge.dst in column:
+                cells[column[edge.dst]] = edge.weight
         rows.append(MatrixRow(source.label, source.offset, tuple(cells)))
     return BuildMatrix(
         tuple(n.label for n in dests),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conicroute
-from conicroute.cli import main
+from conicroute.cli import MAX_TOLERANCE_EXPONENT, main
 
 from conftest import HIDDEN_PATH, MATRIX_PATH
 
@@ -298,6 +298,42 @@ def test_query_duplicate_hidden_pair_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 4" in err and "line 2" in err
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_relative_error_past_the_float_range_is_written_null(tmp_path, capsys, fmt):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("destinations,A,B\noffsets,1,2\ns,0,1,1" + "0" * 400 + "\n")
+    hidden = tmp_path / "hidden.csv"
+    hidden.write_text("from,to,true_weight\nA,B,1\n")
+    code, out, err = run(capsys, "query", str(matrix), "--source", "s",
+                         "--hidden", str(hidden), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "table":
+        assert out.endswith("  A -> B  weight " + "9" * 400 + "  unfit\n")
+        return
+    fitness = json.loads(out, parse_constant=_no_constant)["invented_alternates"][0]["fitness"]
+    assert fitness == {
+        "invented_weight": 10**400 - 1, "hidden_weight": 1,
+        "absolute_error": 10**400 - 2, "relative_error": None, "fit": False,
+    }
+
+
+def test_tolerance_exponent_past_the_limit_is_a_usage_error(capsys):
+    limit = MAX_TOLERANCE_EXPONENT
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", f"1e+{limit + 1:_}"):
+        code, out, err = run(capsys, "query", MATRIX, "--source", "Rumuomasi",
+                             "--tolerance", text)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == ("conicroute query: error: argument --tolerance: "
+                                        f"tolerance exponent must lie within ±{limit}: {text!r}")
+    for text in (f"1e{limit}", f"1e-{limit}"):
+        assert run(capsys, "query", MATRIX, "--source", "Rumuomasi",
+                   "--tolerance", text)[0] == 0
 
 
 @pytest.mark.parametrize("kind", ["not_utf8", "directory", "field_over_csv_limit"])

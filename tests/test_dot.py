@@ -7,10 +7,10 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conicroute.contraction import build_hierarchy
+from conicroute.contraction import Shortcut, build_hierarchy
 from conicroute.dot import export_dot
-from conicroute.graph import ConicGraph, NodeKind
-from conicroute.invention import invent_all
+from conicroute.graph import ConicGraph, Edge, NodeKind, Provenance
+from conicroute.invention import InventedEdge, invent_all
 
 from conftest import graph_from_edges
 
@@ -96,3 +96,44 @@ def test_every_node_statement_reads_back_as_its_label(labels):
         assert line.startswith("  ")
         value, rest = read_dot_id(line[2:])
         assert (value, rest) == (label, " [shape=ellipse];")
+
+
+# what follows the weight label, by provenance
+STYLE = {"original": "", "shortcut": ", style=dashed", "invented": ", style=dotted"}
+
+
+@settings(max_examples=150)
+@given(labels=st.lists(LABELS, min_size=2, max_size=6, unique=True), data=st.data())
+def test_every_edge_statement_reads_back_as_its_endpoints_and_style(labels, data):
+    n = len(labels)
+    forward = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+        lambda pair: pair[0] < pair[1])
+    g = ConicGraph()
+    for offset, label in enumerate(labels):
+        g.add_node(label, NodeKind.SOURCE, offset)
+    for weight, (src, dst) in enumerate(data.draw(st.lists(forward, max_size=8)), start=1):
+        g.add_edge(src, dst, weight)  # weights are distinct, so every edge is legal
+    derived = [Edge(src, dst, 100 + i, provenance)
+               for i, ((src, dst), provenance) in enumerate(data.draw(st.lists(
+                   st.tuples(forward, st.sampled_from([Provenance.SHORTCUT,
+                                                       Provenance.INVENTED])),
+                   max_size=4)))]
+    graph = g.freeze().extend(derived)
+    overlay = [Shortcut(src, dst, 200 + i, via=src)
+               for i, (src, dst) in enumerate(data.draw(st.lists(forward, max_size=3)))]
+    invented = [InventedEdge(origin=src, src=src, dst=dst, weight=300 + i,
+                             pair_weights=(1, 301 + i))
+                for i, (src, dst) in enumerate(data.draw(st.lists(forward, max_size=3)))]
+    expected = (
+        [(labels[e.src], labels[e.dst], e.weight, e.provenance.value) for e in graph.edges]
+        + [(labels[s.src], labels[s.dst], s.weight, "shortcut") for s in overlay]
+        + [(labels[e.src], labels[e.dst], e.weight, "invented") for e in invented]
+    )
+    lines = export_dot(graph, overlay=overlay, invented=invented).split("\n")
+    assert lines[2 + n + len(expected):] == ["}", ""]  # no label broke a line
+    for (src, dst, weight, provenance), line in zip(expected, lines[2 + n:]):
+        assert line.startswith("  ")
+        tail, rest = read_dot_id(line[2:])
+        assert (tail, rest[:4]) == (src, " -> ")
+        head, rest = read_dot_id(rest[4:])
+        assert (head, rest) == (dst, f' [label="{weight}"{STYLE[provenance]}];')

@@ -275,6 +275,40 @@ def test_extend_returns_new_frozen_graph(hospital_graph):
     assert g.out_edges(rum) == original
 
 
+def test_extend_shares_untouched_adjacency_and_sorts_only_touched_nodes(
+        hospital_graph, monkeypatch):
+    g = hospital_graph
+    before = [g.out_edges(n.id) for n in g.nodes]
+    keyed = []  # the source of every edge the offset sort key is asked about
+    real_key = ConicGraph._offset_key
+
+    def counting_key(self, edge):
+        keyed.append(edge.src)
+        return real_key(self, edge)
+
+    monkeypatch.setattr(ConicGraph, "_offset_key", counting_key)
+    empty = g.extend([])
+    assert keyed == []
+    assert all(empty.out_edges(n.id) is before[n.id] for n in g.nodes)
+    assert empty.edges == g.edges
+
+    rum, pc = label_id(g, "Rumuomasi"), label_id(g, "PC")
+    shortcut = Edge(rum, pc, 1000, Provenance.SHORTCUT)
+    one = g.extend([shortcut])
+    assert keyed == [rum] * (len(before[rum]) + 1)
+    assert one.out_edges(rum) == before[rum] + (shortcut,)
+    assert all(one.out_edges(n.id) is before[n.id] for n in g.nodes if n.id != rum)
+    # the base graph is unchanged
+    assert [g.out_edges(n.id) for n in g.nodes] == before
+    assert g.edge_count == 8 and shortcut not in g.edges
+    # the derived edges join the edge list in the order given
+    cmc = label_id(g, "CMC")
+    interleaved = [Edge(rum, pc, 1000, Provenance.SHORTCUT),
+                   Edge(cmc, pc, 1001, Provenance.INVENTED),
+                   Edge(rum, cmc, 1002, Provenance.SHORTCUT)]
+    assert g.extend(interleaved).edges == g.edges + tuple(interleaved)
+
+
 def test_extend_rejects_cycles(hospital_graph):
     g = hospital_graph
     cmc, mc = label_id(g, "CMC"), label_id(g, "MC")

@@ -15,7 +15,7 @@ from conicroute.errors import (
     NotASource,
     UnknownNode,
 )
-from conicroute.graph import ConicGraph, NodeKind
+from conicroute.graph import ConicGraph, NodeKind, Provenance
 from conicroute.invention import (
     HiddenPath,
     InventedEdge,
@@ -160,7 +160,9 @@ def test_orientation_minimum_first():
     for _ in range(40):
         g = random_conic(rng)
         source_edges = {
-            n.id: dict(g.original_neighbors_ascending(n.id)) for n in g.sources()
+            n.id: {e.dst: e.weight for e in g.out_edges(n.id)
+                   if e.provenance is Provenance.ORIGINAL}
+            for n in g.sources()
         }
         for src, edges in invent_all(g).items():
             for e in edges:
@@ -193,8 +195,9 @@ def test_pair_evaluation_count_is_destinations_minus_one(monkeypatch):
     assert len(edges) == n - 1
 
 
-def test_zero_difference_pairs_are_skipped():
-    # equal adjacent weights cannot enter via add_edge; inject to hit the guard
+def test_injected_equal_pair_is_rejected_by_invented_edge():
+    # equal adjacent weights cannot enter via add_edge; an injected pair
+    # reaches InventedEdge, which refuses a zero-weight invention
     g = ConicGraph()
     s = g.add_node("s", NodeKind.SOURCE, 0)
     d1 = g.add_node("d1", NodeKind.DESTINATION, 1)
@@ -202,7 +205,8 @@ def test_zero_difference_pairs_are_skipped():
     g.add_edge(s, d1, 25)
     g._inject_edge_unchecked(s, d2, 25)
     g.freeze()
-    assert invent_for_source(g, s) == []
+    with pytest.raises(ValueError, match=r"pair weights must be positive and distinct"):
+        invent_for_source(g, s)
 
 
 def test_invented_edge_invariants_enforced():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicroute.errors import (
     DuplicateOffset,
@@ -14,6 +16,8 @@ from conicroute.errors import (
 )
 from conicroute.graph import Provenance
 from conicroute.matrix_io import (
+    BuildMatrix,
+    MatrixRow,
     build_graph,
     emit_build_matrix,
     from_graph,
@@ -154,6 +158,41 @@ def test_roundtrip_random_conic_graphs():
         )
         assert edges(g2) == edges(g)
         assert emit_build_matrix(from_graph(g2)) == text
+
+
+@st.composite
+def matrices(draw, valid: bool) -> BuildMatrix:
+    """A build matrix; when valid, one that to_graph accepts whole."""
+    n_dest, n_src = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    labels = draw(st.lists(st.text(min_size=1), min_size=n_dest + n_src,
+                           max_size=n_dest + n_src, unique=True))
+    if not valid:  # parsing alone accepts any source label and any integers
+        labels[n_dest:] = draw(st.lists(st.text(), min_size=n_src, max_size=n_src))
+
+    def ascending(low: int, size: int) -> tuple[int, ...]:
+        return tuple(sorted(draw(st.sets(st.integers(low, 10**9), min_size=size,
+                                         max_size=size))))
+
+    cell = st.integers(1, 10**30) if valid else st.integers(-10**30, 10**30)
+    rows = []
+    for label, offset in zip(labels[n_dest:], ascending(0 if valid else -10**9, n_src)):
+        weights = draw(st.lists(cell, min_size=n_dest, max_size=n_dest, unique=valid))
+        present = draw(st.lists(st.booleans(), min_size=n_dest, max_size=n_dest))
+        rows.append(MatrixRow(label, offset, tuple(
+            w if keep else None for w, keep in zip(weights, present))))
+    return BuildMatrix(tuple(labels[:n_dest]), ascending(1, n_dest), tuple(rows))
+
+
+@settings(max_examples=200)
+@given(matrices(valid=False))
+def test_parse_reads_back_every_emitted_matrix(matrix):
+    assert parse_build_matrix(emit_build_matrix(matrix)) == matrix
+
+
+@settings(max_examples=200)
+@given(matrices(valid=True))
+def test_from_graph_reads_back_every_built_matrix(matrix):
+    assert from_graph(to_graph(matrix)) == matrix
 
 
 def test_parse_hidden_paths(hospital_graph):

@@ -361,7 +361,6 @@ class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for parse
     # and validation failures.
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 

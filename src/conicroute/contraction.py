@@ -4,8 +4,9 @@ Contracting a node u considers in-neighbors that come earlier in the
 contraction order and out-neighbors that come later. For each such pair
 (v, w) the candidate shortcut weighs w(v,u) + w(u,w); it is emitted only
 when no witness path from v to w that avoids u is at most that weight.
-Shortcuts are added to the working edge set (never removed), so later
-contractions and witness searches see them.
+Shortcuts are added to the working edge set, so later contractions and
+witness searches see them. A shortcut replaces any edge v -> w already
+there: that edge avoids u, so the failed witness search proves it heavier.
 
 Candidate pairs are examined cheapest first: a short shortcut emitted
 early can witness away a longer overlapping one, which keeps the overlay
@@ -49,25 +50,23 @@ class Overlay:
 
 
 def _bounded_search(out_adj: dict[NodeId, dict[NodeId, int]], start: NodeId,
-                    goal: NodeId, bound: int, excluded: frozenset[NodeId]) -> bool:
-    """True iff a path start -> goal avoiding excluded weighs <= bound."""
+                    goal: NodeId, bound: int, avoid: NodeId) -> bool:
+    """True iff a path start -> goal that never visits avoid weighs <= bound.
+
+    Only entries within the bound are pushed, and an entry is stale exactly
+    when it exceeds its node's label, as in shortest_paths.
+    """
     dist = {start: 0}
     heap = [(0, start)]
-    done: set[NodeId] = set()
     while heap:
         d, node = heapq.heappop(heap)
-        if d > bound:
-            return False
         if node == goal:
             return True
-        if node in done:
+        if d > dist[node]:
             continue
-        done.add(node)
-        for nxt, weight in out_adj.get(node, {}).items():
-            if nxt in excluded or nxt in done:
-                continue
+        for nxt, weight in out_adj[node].items():
             nd = d + weight
-            if nd <= bound and nd < dist.get(nxt, nd + 1):
+            if nxt != avoid and nd <= bound and nd < dist.get(nxt, nd + 1):
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return False
@@ -85,7 +84,7 @@ def _min_weight_adjacency(graph: ConicGraph) -> dict[NodeId, dict[NodeId, int]]:
 class Contractor:
     """Sequential contraction of one frozen graph under a fixed order."""
 
-    def __init__(self, graph: ConicGraph, order: Sequence[NodeId] | None = None):
+    def __init__(self, graph: ConicGraph, order: Iterable[NodeId] | None = None):
         graph._require_frozen()
         if order is None:
             order = range(graph.node_count)
@@ -113,25 +112,18 @@ class Contractor:
             (win + wout, v, w)
             for v, win in self._in[u].items() if self._pos[v] < pos_u
             for w, wout in self._out[u].items() if self._pos[w] > pos_u
-            if v != w
         ]
         pairs.sort()
         emitted: list[Shortcut] = []
         for bound, v, w in pairs:
-            if _bounded_search(self._out, v, w, bound, frozenset((u,))):
+            if _bounded_search(self._out, v, w, bound, u):
                 continue
-            shortcut = Shortcut(v, w, bound, u)
-            emitted.append(shortcut)
-            self._add(v, w, bound)
+            emitted.append(Shortcut(v, w, bound, u))
+            # an edge v -> w already held avoids u: the failed search proves it heavier
+            self._out[v][w] = self._in[w][v] = bound
         self._contracted.add(u)
         self.shortcuts.extend(emitted)
         return emitted
-
-    def _add(self, src: NodeId, dst: NodeId, weight: int) -> None:
-        prior = self._out[src].get(dst)
-        if prior is None or weight < prior:
-            self._out[src][dst] = weight
-            self._in[dst][src] = weight
 
 
 def contract_node(graph: ConicGraph, u: NodeId,
@@ -143,7 +135,7 @@ def contract_node(graph: ConicGraph, u: NodeId,
 def build_hierarchy(graph: ConicGraph,
                     order: Iterable[NodeId] | None = None) -> Overlay:
     """Contract every node in order, accumulating the shortcut overlay."""
-    contractor = Contractor(graph, None if order is None else tuple(order))
+    contractor = Contractor(graph, order)
     for node in contractor.order:
         contractor.contract(node)
     return Overlay(base=graph, shortcuts=tuple(contractor.shortcuts),

@@ -127,7 +127,7 @@ class ConicGraph:
             )
         if self._rank[src] > self._rank[dst]:
             self._reorder(src, dst)
-        edge = Edge(src, dst, int(weight), Provenance.ORIGINAL)
+        edge = Edge(src, dst, weight, Provenance.ORIGINAL)
         self._edges.append(edge)
         self._out[src].append(edge)
         self._out_weights[src].add(weight)
@@ -241,6 +241,8 @@ class ConicGraph:
         """The rules every edge obeys, original or derived."""
         self._check_node(src)
         self._check_node(dst)
+        if type(weight) is not int:  # exactly int: True and False are ints too
+            raise NonPositiveWeight(f"edge weight must be an integer, got {weight!r}")
         if weight <= 0:
             raise NonPositiveWeight(f"edge weight must be > 0, got {weight}")
         if src == dst:

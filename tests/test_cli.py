@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -199,16 +200,46 @@ def test_missing_file_exits_2(capsys):
 
 
 def test_usage_error_exits_1(capsys):
-    assert run(capsys, "query", MATRIX)[0] == 1          # neither --source nor --all-sources
-    assert run(capsys, "frobnicate", MATRIX)[0] == 1     # unknown subcommand
-    assert run(capsys, "query", MATRIX, "--source", "X",
-               "--tolerance", "fast")[0] == 1            # non-rational tolerance
-    assert run(capsys, "query", MATRIX, "--source", "X",
-               "--allowable", "-3")[0] == 1              # non-positive cap
-    # each subcommand takes only the flags it reads
-    assert run(capsys, "build", MATRIX, "--tolerance", "1")[0] == 1
-    assert run(capsys, "export", MATRIX, "--format", "table")[0] == 1
-    assert run(capsys, "invent", MATRIX, "--use-invented")[0] == 1
+    for argv in (
+        ("query", MATRIX),                          # neither --source nor --all-sources
+        ("frobnicate", MATRIX),                     # unknown subcommand
+        ("query", MATRIX, "--source", "X", "--tolerance", "fast"),  # non-rational tolerance
+        ("query", MATRIX, "--source", "X", "--tolerance", "-1"),    # negative tolerance
+        ("query", MATRIX, "--source", "X", "--allowable", "-3"),    # non-positive cap
+        ("query", MATRIX, "--source", "X", "--allowable", "x"),     # non-integer cap
+        # each subcommand takes only the flags it reads
+        ("build", MATRIX, "--tolerance", "1"),
+        ("export", MATRIX, "--format", "table"),
+        ("invent", MATRIX, "--use-invented"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        # one line, with no usage block before it
+        assert err.startswith("conicroute") and err.count("\n") == 1
+        assert ": error: " in err
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["build", MATRIX], 0, "node Rumuomasi  source  offset 0\n"),
+    (["build", MATRIX], 0, "edge Rumuomasi -> CMC  weight 312\n"),
+    (["validate", MATRIX], 0, "valid\n"),
+    (["validate", "{bad}"], 2,
+     "EqualAdjacentWeight: source 'S1' already has an edge of weight 5\n"),
+    (["contract", MATRIX], 0, "no shortcuts\n"),
+    (["query", MATRIX, "--source", "Rumuomasi", "--no-invent"], 0,
+     "best: CMC  distance 312  via Rumuomasi -> CMC\ninvented alternates: none\n"),
+    (["query", "{isolated}", "--all-sources"], 0,
+     "source: S2\nbest: (no reachable destination)\ninvented alternates: none\n"),
+], ids=["build_nodes", "build_edges", "validate_clean", "validate_violation", "contract",
+        "query_no_invent", "query_all_sources_unreachable"])
+def test_table_format(tmp_path, capsys, argv, code, expected):
+    bad, isolated = tmp_path / "bad.csv", tmp_path / "isolated.csv"
+    bad.write_text("destinations,A,B\noffsets,1,2\nS1,0,5,5\n")
+    isolated.write_text("destinations,A\noffsets,1\nS1,0,10\nS2,1,\n")  # S2 reaches nothing
+    argv = [arg.format(bad=bad, isolated=isolated) for arg in argv]
+    got = run(capsys, *argv, "--format", "table")
+    assert got[0] == code and got[2] == ""
+    assert expected in got[1]
 
 
 def test_invent_command(capsys):
@@ -392,6 +423,53 @@ def test_any_hidden_path_bytes_end_in_a_documented_exit(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "any_hidden.csv"
     path.write_bytes(data)
     _ends_cleanly(["query", MATRIX, "--all-sources", "--hidden", str(path)])
+
+
+@settings(max_examples=150)
+@given(_spliced(MATRIX_PATH.read_bytes()), _spliced(HIDDEN_PATH.read_bytes()))
+def test_any_matrix_with_any_hidden_bytes_end_in_a_documented_exit(tmp_path_factory,
+                                                                   matrix, hidden):
+    base = tmp_path_factory.getbasetemp()
+    (base / "paired_matrix.csv").write_bytes(matrix)
+    (base / "paired_hidden.csv").write_bytes(hidden)
+    _ends_cleanly(["query", str(base / "paired_matrix.csv"), "--all-sources",
+                   "--hidden", str(base / "paired_hidden.csv")])
+
+
+def _generated_files(tmp_path: Path) -> tuple[str, str]:
+    """A 30 x 40 matrix at 30% fill and hidden paths for every other column pair."""
+    rng = random.Random(7)
+    lines = ["destinations," + ",".join(f"D{j}" for j in range(40)),
+             "offsets," + ",".join(str(j + 1) for j in range(40))]
+    for i in range(30):
+        cells = [str(w) if rng.random() < 0.3 else "" for w in rng.sample(range(1, 10_000), 40)]
+        lines.append(f"S{i},{i}," + ",".join(cells))
+    matrix, hidden = tmp_path / "matrix.csv", tmp_path / "hidden.csv"
+    matrix.write_text("\n".join(lines) + "\n")
+    hidden.write_text("from,to,true_weight\n" + "".join(
+        f"D{j},D{j + 1},{rng.randint(1, 9_999)}\n" for j in range(0, 40, 2)))
+    return str(matrix), str(hidden)
+
+
+def _child_stdout(argv: list[str], hash_seed: str) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(Path(conicroute.__file__).parents[1]),
+               PYTHONHASHSEED=hash_seed)
+    child = subprocess.run(
+        [sys.executable, "-c", "from conicroute.cli import entrypoint; entrypoint()", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    return child.stdout
+
+
+@pytest.mark.parametrize("command", [["query", "--all-sources", "--hidden"], ["invent"]],
+                         ids=["query_all_sources_hidden", "invent"])
+@pytest.mark.parametrize("files", ["fixture", "generated"])
+def test_json_is_byte_identical_across_hash_seeds(tmp_path, command, files):
+    matrix, hidden = (MATRIX, HIDDEN) if files == "fixture" else _generated_files(tmp_path)
+    argv = [command[0], matrix, *command[1:]] + ([hidden] if "--hidden" in command else [])
+    first = _child_stdout(argv, "1")
+    assert first.startswith((b"[", b"{")) and first == _child_stdout(argv, "2")
 
 
 @pytest.mark.parametrize("argv", [["query", MATRIX, "--all-sources"], ["export", MATRIX]],

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicroute.contraction import Contractor, Shortcut, build_hierarchy, contract_node
 from conicroute.dijkstra import shortest_paths
@@ -165,3 +167,47 @@ def test_no_shortcut_when_enumeration_finds_a_witness():
                     continue
                 if min_path_avoiding(g, v, w, banned=u) <= win + wout:
                     assert (v, w) not in emitted
+
+
+def _oracle_shortcuts(g: ConicGraph, order: list[int]) -> list[Shortcut]:
+    """Every shortcut of a whole hierarchy, by enumeration over the edge set."""
+    pos = {node: i for i, node in enumerate(order)}
+    shortcuts: list[Shortcut] = []
+    current = g
+    for u in order:
+        into, out = {}, {}  # the lightest edge per neighbour, originals and shortcuts alike
+        for e in current.edges:
+            if e.dst == u and pos[e.src] < pos[u]:
+                into[e.src] = min(e.weight, into.get(e.src, e.weight))
+            if e.src == u and pos[e.dst] > pos[u]:
+                out[e.dst] = min(e.weight, out.get(e.dst, e.weight))
+        for bound, v, w in sorted((win + wout, v, w) for v, win in into.items()
+                                  for w, wout in out.items()):
+            if min_path_avoiding(current, v, w, banned=u) > bound:
+                shortcuts.append(Shortcut(v, w, bound, u))
+                current = g.extend([s.as_edge() for s in shortcuts])
+    return shortcuts
+
+
+@st.composite
+def small_dags(draw) -> ConicGraph:
+    """Up to 7 nodes, forward edges only, small distinct weights per tail so
+    that bounds and witnesses often tie."""
+    n = draw(st.integers(2, 7))
+    edges = []
+    for tail in range(n - 1):
+        heads = draw(st.lists(st.integers(tail + 1, n - 1), unique=True, max_size=4))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(heads),
+                                max_size=len(heads), unique=True))
+        edges += [(tail, head, weight) for head, weight in zip(heads, weights)]
+    return graph_from_edges(n, edges)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_hierarchy_shortcuts_match_enumeration_oracle(data):
+    g = data.draw(small_dags())
+    for order in (list(range(g.node_count)),
+                  data.draw(st.permutations(range(g.node_count)))):
+        expected = _oracle_shortcuts(g, list(order))
+        assert list(build_hierarchy(g, order).shortcuts) == expected

@@ -70,8 +70,10 @@ def test_path_to_hospital(hospital_graph):
     assert [g.node(n).label for n in result.nodes] == ["Rumuomasi", "CMC"]
     assert result.distance == 312
     assert path_to(state, rum).nodes == (rum,)
-    with pytest.raises(Unreachable):
+    with pytest.raises(Unreachable, match="unreachable from"):
         path_to(state, label_id(g, "PC"))
+    with pytest.raises(Unreachable, match="not part of the search"):
+        path_to(state, g.node_count)
 
 
 def test_settled_order_is_monotone():

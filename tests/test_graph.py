@@ -37,6 +37,13 @@ def test_add_node_duplicate_label_rejected():
         g.add_node("CMC", NodeKind.DESTINATION, 9)
 
 
+def test_add_node_negative_offset_rejected():
+    g = ConicGraph()
+    with pytest.raises(ValueError, match="offset must be non-negative, got -1"):
+        g.add_node("a", NodeKind.SOURCE, -1)
+    assert g.node_count == 0
+
+
 def test_add_node_duplicate_offset_within_kind_rejected():
     g = ConicGraph()
     g.add_node("a", NodeKind.SOURCE, 0)
@@ -58,10 +65,30 @@ def test_add_edge_zero_weight_rejected():
     g = ConicGraph()
     s = g.add_node("Rumuomasi", NodeKind.SOURCE, 0)
     d = g.add_node("CMC", NodeKind.DESTINATION, 1)
-    with pytest.raises(NonPositiveWeight):
-        g.add_edge(s, d, 0)
-    with pytest.raises(NonPositiveWeight):
-        g.add_edge(s, d, -5)
+    for weight in (0, -5):
+        with pytest.raises(NonPositiveWeight) as err:
+            g.add_edge(s, d, weight)
+        assert str(err.value) == f"edge weight must be > 0, got {weight}"
+
+
+@pytest.mark.parametrize("weight", [0.5, 3.7, True], ids=["half", "fraction", "bool"])
+def test_non_integer_weight_rejected_and_graph_unchanged(weight):
+    g = ConicGraph()
+    s = g.add_node("s", NodeKind.SOURCE, 0)
+    d1 = g.add_node("d1", NodeKind.DESTINATION, 1)
+    d2 = g.add_node("d2", NodeKind.DESTINATION, 2)
+    g.add_edge(s, d1, 3)
+    with pytest.raises(NonPositiveWeight) as err:
+        g.add_edge(s, d2, weight)
+    assert str(err.value) == f"edge weight must be an integer, got {weight!r}"
+    assert g.edges == (Edge(s, d1, 3),)
+    g.add_edge(s, d2, 4)  # the rejected weight left no trace among s's weights
+    g.freeze()
+    edges, out = g.edges, [g.out_edges(n.id) for n in g.nodes]
+    with pytest.raises(NonPositiveWeight) as err:
+        g.extend([Edge(d1, d2, weight, Provenance.INVENTED)])
+    assert str(err.value) == f"edge weight must be an integer, got {weight!r}"
+    assert (g.edges, [g.out_edges(n.id) for n in g.nodes]) == (edges, out)
 
 
 def test_add_edge_equal_weight_same_source_rejected():

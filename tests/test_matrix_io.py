@@ -92,6 +92,23 @@ def test_parse_out_of_order_source_offsets():
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("destinations,A,\noffsets,1,2\n", MalformedHeader,
+     "line 1: destination labels must be non-empty"),
+    ("destinations,A,B\noffsets,2,1\n", DuplicateOffset,
+     "line 2: destination offsets must increase, 1 after 2"),
+    ("destinations,A,B\noffsets,0,1\n", MalformedHeader,
+     "line 2: destination offsets must be positive"),
+    ("destinations,A\noffsets,1\nS1,3,10\nS2,3,20\n", DuplicateOffset,
+     "line 4: source offset 3 repeated"),
+], ids=["empty_destination_label", "decreasing_destination_offsets",
+        "first_destination_offset_zero", "repeated_source_offset"])
+def test_parse_header_and_offset_errors_name_their_line(text, error, message):
+    with pytest.raises(error) as err:
+        parse_build_matrix(text)
+    assert str(err.value) == message
+
+
 def test_to_graph_hospital_counts(matrix_text):
     g = to_graph(parse_build_matrix(matrix_text))
     assert g.node_count == 12

@@ -468,9 +468,6 @@ def main(argv: "list[str] | None" = None) -> int:
         for violation in exc.violations:
             sys.stderr.write(f"  {violation.code}: {violation.detail}\n")
         return PARSE_ERROR
-    except ParseError as exc:
-        sys.stderr.write(f"conicroute: {exc}\n")
-        return PARSE_ERROR
     except (UnknownSourceLabel, Unreachable) as exc:
         sys.stderr.write(f"conicroute: {exc}\n")
         return QUERY_ERROR

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Graph construction errors are raised eagerly; the matrix ingester records
+Graph construction errors are raised eagerly, by the call that would break
+a rule, so a graph is valid by construction; the matrix ingester records
 each rejected node or edge as a Violation and aggregates them into
-ValidationFailed. graph.validate reports the same rules as Violation
-records for a graph assembled by other means.
+ValidationFailed.
 """
 
 from __future__ import annotations

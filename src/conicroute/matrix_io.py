@@ -45,10 +45,6 @@ class BuildMatrix:
     destination_offsets: tuple[int, ...]
     rows: tuple[MatrixRow, ...]
 
-    @property
-    def populated_cells(self) -> int:
-        return sum(1 for row in self.rows for c in row.cells if c is not None)
-
 
 def _int_cell(token: str, line: int, what: str) -> int:
     try:
@@ -140,8 +136,9 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
 
     Rows become source nodes, columns destination nodes, populated cells
     original edges. Anything the graph rejects is skipped and recorded;
-    add_node and add_edge enforce every rule graph.validate audits, so the
-    returned graph is always frozen and valid.
+    add_node and add_edge are the only place the graph rules are checked,
+    so the returned graph is always frozen and valid, and the violations
+    are the whole report (graph.validate of it is empty).
     """
     g = ConicGraph()
     violations: list[Violation] = []

@@ -195,24 +195,10 @@ def test_pair_evaluation_count_is_destinations_minus_one(monkeypatch):
     assert len(edges) == n - 1
 
 
-def test_injected_equal_pair_is_rejected_by_invented_edge():
-    # equal adjacent weights cannot enter via add_edge; an injected pair
-    # reaches InventedEdge, which refuses a zero-weight invention
-    g = ConicGraph()
-    s = g.add_node("s", NodeKind.SOURCE, 0)
-    d1 = g.add_node("d1", NodeKind.DESTINATION, 1)
-    d2 = g.add_node("d2", NodeKind.DESTINATION, 2)
-    g.add_edge(s, d1, 25)
-    g._inject_edge_unchecked(s, d2, 25)
-    g.freeze()
-    with pytest.raises(ValueError, match=r"pair weights must be positive and distinct"):
-        invent_for_source(g, s)
-
-
 def test_invented_edge_invariants_enforced():
     with pytest.raises(ValueError):
         InventedEdge(origin=0, src=1, dst=2, weight=10, pair_weights=(5, 20))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pair weights must be positive and distinct"):
         InventedEdge(origin=0, src=1, dst=2, weight=0, pair_weights=(5, 5))
 
 

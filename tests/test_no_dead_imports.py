@@ -1,0 +1,45 @@
+"""Every module-level import in the engine is used; ``__init__.py`` is
+exempt, because it imports to re-export."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import conicroute
+
+SOURCES = sorted(p for p in Path(conicroute.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, string annotations such as ``"list[Edge]"`` included."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    trees = [tree]
+    for annotation in annotations:
+        trees += [ast.parse(node.value, mode="eval") for node in ast.walk(annotation)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def test_engine_has_no_unused_imports():
+    assert SOURCES
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _referenced_names(tree)
+        unused += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in used]
+    assert unused == []

@@ -87,7 +87,8 @@ class ConicGraph:
         self._out: list[list[Edge]] = []  # by node id; sorted tuples once frozen
         self._by_label: dict[str, NodeId] = {}
         # construction-only state, dropped by freeze()
-        self._by_offset: dict[tuple[NodeKind, int], NodeId] = {}
+        # keyed (is a source, offset): a bool hashes at C speed, an Enum does not
+        self._by_offset: dict[tuple[bool, int], NodeId] = {}
         # filled on first use, so a node without out-edges holds no weight set
         # and one without in-edges no predecessor list
         self._out_weights: defaultdict[NodeId, set[int]] = defaultdict(set)
@@ -100,15 +101,20 @@ class ConicGraph:
     def add_node(self, label: str, kind: NodeKind, offset: int) -> NodeId:
         """Append a node; the returned id equals the previous node count."""
         self._require_mutable()
+        if not isinstance(label, str):
+            raise ValueError(f"node label must be a string, got {label!r}")
         if not label:
             raise ValueError("node label must be non-empty")
+        if not isinstance(kind, NodeKind):
+            raise ValueError(f"node kind must be a NodeKind, got {kind!r}")
         if type(offset) is not int:  # exactly int: True and False are ints too
             raise ValueError(f"offset must be an integer, got {offset!r}")
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
         if label in self._by_label:
             raise DuplicateLabel(f"label {label!r} already in use")
-        if (kind, offset) in self._by_offset:
+        offset_key = (kind is NodeKind.SOURCE, offset)
+        if offset_key in self._by_offset:
             raise DuplicateOffset(f"offset {offset} already used for a {kind.value}")
         node_id = len(self._nodes)
         node = Node(node_id, label, kind, offset)
@@ -116,7 +122,7 @@ class ConicGraph:
         self._out.append([])
         self._rank.append(node_id)
         self._by_label[label] = node_id
-        self._by_offset[(kind, offset)] = node_id
+        self._by_offset[offset_key] = node_id
         return node_id
 
     def add_edge(self, src: NodeId, dst: NodeId, weight: int) -> EdgeId:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conicroute import contraction
 from conicroute.contraction import Contractor, Shortcut, build_hierarchy, contract_node
 from conicroute.dijkstra import shortest_paths
 from conicroute.errors import AlreadyContracted, GraphNotFrozen
@@ -101,7 +103,7 @@ def test_build_hierarchy_requires_frozen():
 
 def test_build_hierarchy_chain():
     g = graph_from_edges(4, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], ["a", "b", "c", "d"])
-    overlay = build_hierarchy(g)
+    overlay = build_hierarchy(g, [0, 1, 2, 3])
     pairs = {(s.src, s.dst) for s in overlay.shortcuts}
     assert (0, 2) in pairs                       # a->c always forced
     assert pairs <= {(0, 2), (0, 3), (1, 3)}     # the rest are the chain skips
@@ -111,9 +113,19 @@ def test_build_hierarchy_chain():
     assert ext_state.dist[3] == base_state.dist[3] == 9
 
 
+def test_build_hierarchy_chain_default_order():
+    # a and c have no pairs when the walk reaches them, and d none either once
+    # c is contracted; b's pair (a, c) is gone by the time b comes off the heap
+    g = graph_from_edges(4, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], ["a", "b", "c", "d"])
+    overlay = build_hierarchy(g)
+    assert overlay.order == (0, 2, 3, 1)
+    assert overlay.shortcuts == ()
+
+
 def test_build_hierarchy_hospital_graph_has_no_through_nodes(hospital_graph):
     overlay = build_hierarchy(hospital_graph)
     assert overlay.shortcuts == ()
+    assert overlay.order == tuple(range(hospital_graph.node_count))
 
 
 def test_build_hierarchy_empty_graph():
@@ -211,3 +223,97 @@ def test_hierarchy_shortcuts_match_enumeration_oracle(data):
                   data.draw(st.permutations(range(g.node_count)))):
         expected = _oracle_shortcuts(g, list(order))
         assert list(build_hierarchy(g, order).shortcuts) == expected
+
+
+def _pair_count_order(g: ConicGraph) -> tuple[int, ...]:
+    """The default order by its rule: one heap seeded (0, id) for every node;
+    a popped node is recounted from the current edges, shortcuts included, and
+    contracted unless its (count, id) now exceeds the heap top."""
+    heap = [(0, u) for u in range(g.node_count)]
+    done: list[int] = []
+    current = g
+    while heap:
+        u = heapq.heappop(heap)[1]
+        into = {e.src for e in current.edges if e.dst == u and e.src in done}
+        out = {e.dst for e in current.edges if e.src == u and e.dst not in done}
+        key = (len(into) * len(out), u)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        done.append(u)
+        rest = [n for n in range(g.node_count) if n not in done]
+        shortcuts = [s for s in _oracle_shortcuts(g, done + rest) if s.via in done]
+        current = g.extend([s.as_edge() for s in shortcuts])
+    return tuple(done)
+
+
+@settings(max_examples=100)
+@given(small_dags())
+# node 4 is contracted in the walk, so when 2 comes off the heap its one
+# out-neighbour no longer counts: its count is 0, not 2, and it goes before 3
+@example(graph_from_edges(5, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 1), (2, 4, 1), (3, 4, 1)]))
+def test_default_order_is_the_lazy_pair_count_order(g):
+    overlay = build_hierarchy(g)
+    assert list(overlay.shortcuts) == _oracle_shortcuts(g, list(overlay.order))
+    assert overlay.order == _pair_count_order(g)
+
+
+@st.composite
+def bipartite_graphs(draw) -> ConicGraph:
+    """A matrix graph with its sources and destinations in any id order."""
+    kinds = draw(st.lists(st.sampled_from(NodeKind), min_size=1, max_size=9))
+    g = ConicGraph()
+    for i, kind in enumerate(kinds):
+        g.add_node(f"n{i}", kind, i)
+    sources = [i for i, kind in enumerate(kinds) if kind is NodeKind.SOURCE]
+    destinations = [i for i, kind in enumerate(kinds) if kind is NodeKind.DESTINATION]
+    for src in sources:
+        heads = draw(st.lists(st.sampled_from(destinations), unique=True)) if destinations else []
+        for weight, dst in enumerate(heads, start=1):
+            g.add_edge(src, dst, weight)
+    return g.freeze()
+
+
+@settings(max_examples=100)
+@given(bipartite_graphs())
+def test_default_order_is_id_order_on_bipartite_graphs(g):
+    overlay = build_hierarchy(g)
+    assert overlay.order == tuple(range(g.node_count))
+    assert overlay.shortcuts == ()
+
+
+def _bench_like_dag(rng: random.Random, n: int, edges: int, reach: int) -> ConicGraph:
+    """n nodes and the given number of distinct forward edges, each head at
+    most reach ids past its tail, with distinct weights per tail."""
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < edges:
+        tail = rng.randrange(n - 1)
+        pairs.add((tail, rng.randint(tail + 1, min(n - 1, tail + reach))))
+    weights: dict[int, list[int]] = {}
+    listed = []
+    for tail, head in sorted(pairs):
+        if tail not in weights:
+            weights[tail] = rng.sample(range(1, 1000), reach)
+        listed.append((tail, head, weights[tail].pop()))
+    return graph_from_edges(n, listed)
+
+
+def test_default_order_does_less_witness_work_than_id_order(monkeypatch):
+    """A work count, not a wall clock: witness searches and shortcuts."""
+    g = _bench_like_dag(random.Random(9), 300, 900, 30)
+    searches = [0]
+    search = contraction._bounded_search
+
+    def counted(*args):
+        searches[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(contraction, "_bounded_search", counted)
+    work = {}
+    for name, order in (("default", None), ("id", range(g.node_count))):
+        searches[0] = 0
+        shortcuts = len(build_hierarchy(g, order).shortcuts)
+        work[name] = (searches[0], shortcuts)
+    (default_searches, default_shortcuts), (id_searches, id_shortcuts) = work.values()
+    assert default_searches * 10 < id_searches, work
+    assert default_shortcuts * 4 < id_shortcuts, work

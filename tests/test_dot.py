@@ -26,7 +26,7 @@ def test_dot_contains_invented_edge_dotted(hospital_graph):
 
 def test_dot_shortcuts_drawn_dashed():
     g = graph_from_edges(3, [(0, 1, 2), (1, 2, 3)], ["a", "b", "c"])
-    overlay = build_hierarchy(g)
+    overlay = build_hierarchy(g, [0, 1, 2])
     text = export_dot(g, overlay=overlay.shortcuts)
     assert 'a -> c [label="5", style=dashed];' in text
 

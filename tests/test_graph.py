@@ -56,6 +56,21 @@ def test_add_node_non_integer_offset_rejected_and_graph_unchanged(offset):
     g.add_node("b", NodeKind.SOURCE, 0)  # the label and offset 0 are still free
 
 
+@pytest.mark.parametrize("label, kind, message", [
+    ("b", "source", "node kind must be a NodeKind, got 'source'"),
+    (7, NodeKind.DESTINATION, "node label must be a string, got 7"),
+], ids=["str_kind", "int_label"])
+def test_add_node_bad_kind_or_label_rejected_and_graph_unchanged(label, kind, message):
+    g = ConicGraph()
+    g.add_node("a", NodeKind.SOURCE, 1)
+    with pytest.raises(ValueError) as err:
+        g.add_node(label, kind, 0)
+    assert str(err.value) == message
+    assert g.nodes == (Node(0, "a", NodeKind.SOURCE, 1),)
+    assert g.sources() + g.destinations() == list(g.nodes)
+    g.add_node("b", NodeKind.SOURCE, 0)  # the label and offset 0 are still free
+
+
 def test_add_node_duplicate_offset_within_kind_rejected():
     g = ConicGraph()
     g.add_node("a", NodeKind.SOURCE, 0)
@@ -201,8 +216,8 @@ def test_add_edge_refuses_exactly_the_cycle_closing_edges(stream):
 # a few bad values among the good ones: a call drawn from these is refused
 # for an unknown id, a repeated label, (kind, offset) or source weight, a
 # self-loop or a cycle as well
-_NODE_CALLS = st.tuples(st.just("add_node"), st.sampled_from("abcdefgh"),
-                        st.sampled_from(NodeKind),
+_NODE_CALLS = st.tuples(st.just("add_node"), st.sampled_from([*"abcdefgh", 7]),
+                        st.sampled_from([*NodeKind, "source"]),
                         st.sampled_from((0, 1, 2, 3, 4, 5, -1, 0.5, True)))
 _EDGE_CALLS = st.tuples(st.just("add_edge"), st.integers(-1, 6), st.integers(-1, 6),
                         st.sampled_from((1, 2, 3, 4, 0, -1, 2.5, True)))
@@ -224,6 +239,7 @@ def test_graph_is_valid_by_construction(first, rest):
             assert (g.node_count, g.edge_count) == counts
     g.freeze()
     nodes, edges = g.nodes, g.edges
+    assert all(isinstance(n.label, str) and isinstance(n.kind, NodeKind) for n in nodes)
     assert len({n.label for n in nodes}) == len(nodes)
     assert len({(n.kind, n.offset) for n in nodes}) == len(nodes)
     assert all(type(n.offset) is int and n.offset >= 0 for n in nodes)

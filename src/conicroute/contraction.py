@@ -62,7 +62,7 @@ class Overlay:
         return self.base.extend([s.as_edge() for s in self.shortcuts])
 
 
-def _bounded_search(out_adj: dict[NodeId, dict[NodeId, int]], start: NodeId,
+def _bounded_search(out_adj: list[dict[NodeId, int]], start: NodeId,
                     goal: NodeId, bound: int, avoid: NodeId) -> bool:
     """True iff a path start -> goal that never visits avoid weighs <= bound.
 
@@ -85,15 +85,6 @@ def _bounded_search(out_adj: dict[NodeId, dict[NodeId, int]], start: NodeId,
     return False
 
 
-def _min_weight_adjacency(graph: ConicGraph) -> dict[NodeId, dict[NodeId, int]]:
-    out_adj: dict[NodeId, dict[NodeId, int]] = {n.id: {} for n in graph.nodes}
-    for edge in graph.edges:
-        prior = out_adj[edge.src].get(edge.dst)
-        if prior is None or edge.weight < prior:
-            out_adj[edge.src][edge.dst] = edge.weight
-    return out_adj
-
-
 class Contractor:
     """Sequential contraction of one frozen graph under a fixed order."""
 
@@ -109,11 +100,13 @@ class Contractor:
         # by node id: the inverse of the order permutation
         self._pos = sorted(range(graph.node_count), key=order.__getitem__)
         self._contracted: set[NodeId] = set()
-        self._out = _min_weight_adjacency(graph)
-        self._in: dict[NodeId, dict[NodeId, int]] = {n.id: {} for n in graph.nodes}
-        for src, targets in self._out.items():
-            for dst, weight in targets.items():
-                self._in[dst][src] = weight
+        # by node id, each neighbour once, through its lightest parallel edge
+        out = self._out = [{} for _ in range(graph.node_count)]
+        into = self._in = [{} for _ in range(graph.node_count)]
+        for edge in graph.edges:
+            src, dst, weight = edge.src, edge.dst, edge.weight
+            if weight < out[src].get(dst, weight + 1):
+                out[src][dst] = into[dst][src] = weight
         self.shortcuts: list[Shortcut] = []
 
     def contract(self, u: NodeId) -> list[Shortcut]:

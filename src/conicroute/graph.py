@@ -5,20 +5,21 @@ the row/column position they occupy in the transition matrix the graph was
 built from. Adjacency is kept sorted by target offset so that "the next
 destination" of a source is always its offset successor.
 
-While a graph is being assembled, every node holds a topological rank
+Every node holds a topological rank for as long as the graph lives
 (Pearce & Kelly, "A dynamic topological sort algorithm for DAGs", JEA
 2006): a new node takes the next rank, so an edge that runs forward in
 rank is accepted in O(1). Only an edge against the rank order is searched,
 and only within the rank window between its endpoints; it either closes a
-cycle or reorders the nodes of that window.
+cycle or reorders the nodes of that window. add_edge and extend() both
+accept an edge by this rule.
 
-A graph is immutable after freeze(), which drops the construction-only
-state, turns each node's out-edge list into a tuple sorted by target
-offset and builds the one label template a query copies, so that a query
-costs its source's fan-out rather than the node count. Derived edges
+A graph is immutable after freeze(), which drops the state only add_node
+and add_edge read, turns each node's out-edge list into a tuple sorted by
+target offset and builds the one label template a query copies, so that a
+query costs its source's fan-out rather than the node count. Derived edges
 (shortcuts from contraction, invented edges) never mutate a frozen graph in
-place — extend() returns a new frozen graph that shares the base's nodes,
-label template and every adjacency tuple it leaves untouched.
+place — extend() returns a new frozen graph with its own ranks that shares
+the base's nodes, label template and every adjacency tuple it leaves as is.
 """
 
 from __future__ import annotations
@@ -86,14 +87,14 @@ class ConicGraph:
         self._edges: list[Edge] = []
         self._out: list[list[Edge]] = []  # by node id; sorted tuples once frozen
         self._by_label: dict[str, NodeId] = {}
+        # filled on first use, so a node without in-edges holds no predecessor list
+        self._preds: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
+        self._rank: list[int] = []  # every edge runs from a lower rank to a higher one
         # construction-only state, dropped by freeze()
         # keyed (is a source, offset): a bool hashes at C speed, an Enum does not
         self._by_offset: dict[tuple[bool, int], NodeId] = {}
         # filled on first use, so a node without out-edges holds no weight set
-        # and one without in-edges no predecessor list
         self._out_weights: defaultdict[NodeId, set[int]] = defaultdict(set)
-        self._preds: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
-        self._rank: list[int] = []  # every edge runs from a lower rank to a higher one
         self._frozen = False
 
     # --- construction -----------------------------------------------------
@@ -145,8 +146,9 @@ class ConicGraph:
     def freeze(self) -> "ConicGraph":
         """Sort adjacency by target offset and seal the graph. Idempotent."""
         if not self._frozen:
-            # drop the state only construction reads: a frozen graph never mutates
-            del self._by_offset, self._out_weights, self._rank, self._preds
+            # drop the state only add_node and add_edge read; the ranks and
+            # predecessors stay, as extend() accepts edges by add_edge's rank rule
+            del self._by_offset, self._out_weights
             # a stable sort, so parallel edges keep the order they were added in
             key = self._offset_key
             self._out = [tuple(sorted(edges, key=key)) if edges else () for edges in self._out]
@@ -159,28 +161,38 @@ class ConicGraph:
     def extend(self, derived: "list[Edge] | tuple[Edge, ...]") -> "ConicGraph":
         """Return a new frozen graph with derived (shortcut/invented) edges added.
 
-        The base graph is left untouched. The combined edge set must stay
-        acyclic; derived edges may not reuse the ORIGINAL provenance. The
-        copy shares the base's nodes and label template and every adjacency
-        tuple it adds nothing to, so it costs its derived edges, not the graph.
+        The base graph is left untouched. Only SHORTCUT and INVENTED edges
+        are taken; all are checked first, then each is accepted by add_edge's
+        rank rule, so the combined edge set stays acyclic. The copy shares
+        every adjacency tuple it adds nothing to and costs O(V) list copies
+        plus its derived edges; a contraction shortcut is always forward in rank.
         """
         self._require_frozen()
-        added: dict[NodeId, list[Edge]] = {}
         for edge in derived:
-            if edge.provenance is Provenance.ORIGINAL:
+            if edge.provenance not in (Provenance.SHORTCUT, Provenance.INVENTED):
                 raise ValueError("extend() accepts derived edges only")
             self._check_edge(edge.src, edge.dst, edge.weight)
-            added.setdefault(edge.src, []).append(edge)
         # built field by field: copy.copy reads self.__dict__, which would move
         # this graph's attributes into a dict that slows every later query
         g = ConicGraph.__new__(ConicGraph)
         g._nodes, g._by_label, g._dist_template = self._nodes, self._by_label, self._dist_template
-        g._edges, g._out, g._frozen = self._edges + list(derived), list(self._out), True
-        for src, edges in added.items():
+        g._edges, g._frozen = self._edges + list(derived), True
+        out = g._out = list(self._out)
+        rank, preds = g._rank, g._preds = list(self._rank), self._preds.copy()
+        # the copy's own lists for the nodes that gain an edge: the base's stay as they are
+        sources = {edge.src for edge in derived}
+        for src in sources:
+            out[src] = list(out[src])
+        for dst in {edge.dst for edge in derived}:
+            preds[dst] = list(preds.get(dst, ()))
+        for edge in derived:
+            if rank[edge.src] > rank[edge.dst]:
+                g._reorder(edge.src, edge.dst)
+            out[edge.src].append(edge)
+            preds[edge.dst].append(edge.src)
+        for src in sources:
             # a stable sort, so a derived edge follows the parallel edge it copies
-            g._out[src] = tuple(sorted(self._out[src] + tuple(edges), key=self._offset_key))
-        if added and not g._acyclic():
-            raise CycleCreated("derived edges close a cycle")
+            out[src] = tuple(sorted(out[src], key=self._offset_key))
         return g
 
     # --- queries ------------------------------------------------------------
@@ -296,20 +308,6 @@ class ConicGraph:
         moved = sorted(backward, key=rank.__getitem__) + sorted(forward, key=rank.__getitem__)
         for node, r in zip(moved, sorted([rank[n] for n in moved])):
             rank[node] = r
-
-    def _acyclic(self) -> bool:
-        """Kahn's algorithm: every node becomes ready exactly when no cycle exists."""
-        indegree = [0] * len(self._nodes)
-        for edge in self._edges:
-            indegree[edge.dst] += 1
-        ready = [n for n, d in enumerate(indegree) if d == 0]
-        for node in ready:  # the list grows while it is walked
-            for edge in self._out[node]:
-                dst = edge.dst
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    ready.append(dst)
-        return len(ready) == len(self._nodes)
 
 
 def validate(graph: ConicGraph) -> list[Violation]:

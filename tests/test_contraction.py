@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conicroute import contraction
 from conicroute.contraction import Contractor, Shortcut, build_hierarchy, contract_node
 from conicroute.dijkstra import shortest_paths
-from conicroute.errors import AlreadyContracted, GraphNotFrozen
-from conicroute.graph import ConicGraph, NodeKind
+from conicroute.errors import AlreadyContracted, CycleCreated, GraphNotFrozen
+from conicroute.graph import ConicGraph, Edge, NodeKind, Provenance
 
 from conftest import graph_from_edges, min_path_avoiding, random_dag
 
@@ -159,7 +159,7 @@ def test_shortcut_weight_is_sum_of_its_two_hops():
         g = random_dag(rng, max_nodes=20, density=0.3)
         contractor = Contractor(g)
         for u in contractor.order:
-            before = {src: dict(t) for src, t in contractor._out.items()}
+            before = {src: dict(t) for src, t in enumerate(contractor._out)}
             for s in contractor.contract(u):
                 assert s.via == u
                 assert s.weight == before[s.src][u] + before[u][s.dst]
@@ -317,3 +317,32 @@ def test_default_order_does_less_witness_work_than_id_order(monkeypatch):
     (default_searches, default_shortcuts), (id_searches, id_shortcuts) = work.values()
     assert default_searches * 10 < id_searches, work
     assert default_shortcuts * 4 < id_shortcuts, work
+
+
+def test_extend_reorders_only_edges_backward_in_rank(monkeypatch):
+    """A work count, not a wall clock: calls of the rank window search.
+    Every shortcut v -> w runs forward in rank, because v -> u -> w does."""
+    calls = [0]
+    reorder = ConicGraph._reorder
+
+    def counted(self, src, dst):
+        calls[0] += 1
+        return reorder(self, src, dst)
+
+    monkeypatch.setattr(ConicGraph, "_reorder", counted)
+    overlay = build_hierarchy(_bench_like_dag(random.Random(9), 300, 900, 30))
+    assert overlay.shortcuts
+    overlay.extended_graph()
+    assert calls[0] == 0
+    # nodes 0, 1, 2 ranked in id order and one edge 0 -> 1: a derived edge
+    # 2 -> 0 runs backward in rank and fits, 1 -> 0 closes a cycle
+    g = graph_from_edges(3, [(0, 1, 5)])
+    for src, refused in ((2, False), (1, True)):
+        calls[0] = 0
+        derived = [Edge(src, 0, 7, Provenance.INVENTED)]
+        if refused:
+            with pytest.raises(CycleCreated, match=f"edge {src}->0 would close a cycle"):
+                g.extend(derived)
+        else:
+            assert g.extend(derived).edge_count == 2
+        assert calls[0] == 1

@@ -213,6 +213,64 @@ def test_add_edge_refuses_exactly_the_cycle_closing_edges(stream):
     assert [(e.src, e.dst) for e in g.edges] == accepted
 
 
+@st.composite
+def _extend_streams(draw):
+    """A DAG drawn like _edge_streams but with every edge along its hidden
+    order, then batches of derived edges for extend(). A batch edge against
+    that order may close a cycle, and one with equal endpoints is a self-loop."""
+    n = draw(st.integers(2, 9))
+    topo = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    base = [(topo[min(a, b)], topo[max(a, b)])
+            for a, b in draw(st.lists(pairs, max_size=25)) if a != b]
+    batches = []
+    for batch in draw(st.lists(st.lists(st.tuples(
+            pairs, st.booleans(), st.sampled_from([Provenance.SHORTCUT, Provenance.INVENTED])),
+            max_size=6), min_size=1, max_size=5)):
+        edges = []
+        for (a, b), backward, provenance in batch:
+            low, high = sorted((a, b))
+            src, dst = (topo[high], topo[low]) if backward else (topo[low], topo[high])
+            edges.append(Edge(src, dst, len(edges) + 1, provenance))
+        batches.append(edges)
+    return n, base, batches
+
+
+def _ranked_state(g: ConicGraph):
+    return (g.edges, [g.out_edges(i) for i in range(g.node_count)], list(g._rank),
+            {node: list(preds) for node, preds in g._preds.items()})
+
+
+@settings(max_examples=300)
+@given(_extend_streams())
+def test_extend_refuses_exactly_the_cycle_closing_batches(stream):
+    """extend() refuses a batch exactly when base plus batch has a cycle,
+    never changes the graph it extends, and an accepted result keeps every
+    edge forward in rank, so extending it again obeys the same rules."""
+    n, base, batches = stream
+    g = ConicGraph()
+    for i in range(n):
+        g.add_node(f"n{i}", NodeKind.SOURCE, i)
+    for weight, (src, dst) in enumerate(base, start=1):
+        g.add_edge(src, dst, weight)
+    first, first_state = g.freeze(), _ranked_state(g)
+    for derived in batches:
+        before = _ranked_state(g)
+        links = [(e.src, e.dst) for e in g.edges + tuple(derived)]
+        if any(_reaches(links, dst, src) for src, dst in links):
+            with pytest.raises(CycleCreated):
+                g.extend(derived)
+            assert _ranked_state(g) == before
+            continue
+        extended = g.extend(derived)
+        assert _ranked_state(g) == before
+        assert extended.edges == g.edges + tuple(derived)
+        assert sorted(extended._rank) == list(range(n))
+        assert all(extended._rank[e.src] < extended._rank[e.dst] for e in extended.edges)
+        g = extended
+    assert _ranked_state(first) == first_state
+
+
 # a few bad values among the good ones: a call drawn from these is refused
 # for an unknown id, a repeated label, (kind, offset) or source weight, a
 # self-loop or a cycle as well
@@ -385,9 +443,15 @@ def test_extend_rejects_cycles(hospital_graph):
 
 
 def test_extend_rejects_original_provenance(hospital_graph):
+    """Only SHORTCUT and INVENTED edges are derived; anything else is refused
+    and the graph is unchanged."""
     g = hospital_graph
-    with pytest.raises(ValueError):
-        g.extend([Edge(0, 5, 10, Provenance.ORIGINAL)])
+    cmc, mc = label_id(g, "CMC"), label_id(g, "MC")
+    before = (g.edges, [g.out_edges(n.id) for n in g.nodes])
+    for provenance in (Provenance.ORIGINAL, "shortcut", None, 3):
+        with pytest.raises(ValueError, match="derived edges only"):
+            g.extend([Edge(cmc, mc, 459, Provenance.INVENTED), Edge(cmc, mc, 459, provenance)])
+        assert (g.edges, [g.out_edges(n.id) for n in g.nodes]) == before
 
 
 def test_extend_requires_frozen():

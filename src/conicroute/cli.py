@@ -1,4 +1,8 @@
-"""Command-line surface: build, validate, query, invent, contract, export.
+"""Command-line surface: build, validate, query, invent, export.
+
+Every subcommand reads a matrix, whose graph is bipartite: no node has both
+an in-edge and an out-edge, so there is nothing to contract. Contraction is
+library API only (``build_hierarchy``).
 
 Exit codes: 0 success, 1 usage error, 2 parse or validation failure,
 3 query failure (unknown label or unreachable). A reader that closes
@@ -20,11 +24,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable
 
-from .contraction import Overlay, build_hierarchy
 from .dijkstra import path_to, shortest_paths
 from .dot import export_dot
 from .errors import (
-    BadOrder,
     ConicRouteError,
     ParseError,
     Unreachable,
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .graph import ConicGraph, NodeId, NodeKind
 from .invention import (
+    DEFAULT_TOLERANCE,
     FitnessReport,
     HiddenPath,
     PolicyThreshold,
@@ -70,7 +73,7 @@ class QueryResult:
 def cmd_query(graph: ConicGraph, source_label: str, *,
               invent: bool = True,
               hidden: "dict[frozenset[NodeId], HiddenPath] | None" = None,
-              tolerance: "Fraction | float | str" = Fraction(1, 10),
+              tolerance: "Fraction | float | str" = DEFAULT_TOLERANCE,
               allowable: "int | None" = None) -> QueryResult:
     """Dijkstra plus invention for one source of a frozen graph.
 
@@ -203,28 +206,6 @@ def _violations_table(payload: dict) -> str:
     return "".join(f"{v['code']}: {v['detail']}\n" for v in payload["violations"]) or "valid\n"
 
 
-def _overlay_payload(graph: ConicGraph, overlay: Overlay) -> dict:
-    return {
-        "order": [graph.node(n).label for n in overlay.order],
-        "shortcuts": [
-            {
-                "from": graph.node(s.src).label,
-                "via": graph.node(s.via).label,
-                "to": graph.node(s.dst).label,
-                "weight": s.weight,
-            }
-            for s in overlay.shortcuts
-        ],
-    }
-
-
-def _overlay_table(payload: dict) -> str:
-    return "".join(
-        f"{s['from']} -> {s['to']} via {s['via']}  weight {s['weight']}\n"
-        for s in payload["shortcuts"]
-    ) or "no shortcuts\n"
-
-
 def _invent_payload(graph: ConicGraph, inventions) -> dict:
     return {
         graph.node(source).label: [
@@ -331,27 +312,12 @@ def _invent(args) -> int:
     return OK
 
 
-def _contract(args) -> int:
-    graph = _load_graph(args.matrix)
-    order = None
-    if args.order is not None:
-        try:
-            order = [graph.node_by_label(label.strip()).id for label in args.order.split(",")]
-        except UnknownNode as exc:
-            raise BadOrder(f"--order: {exc}") from None
-    _emit(args, _overlay_payload(graph, build_hierarchy(graph, order)), _overlay_table)
-    return OK
-
-
 def _export(args) -> int:
     graph = _load_graph(args.matrix)
-    shortcuts = None
-    if args.with_shortcuts:
-        shortcuts = build_hierarchy(graph).shortcuts
     invented = None
     if args.with_invented:
         invented = [e for group in invent_all(graph, _policy(args)).values() for e in group]
-    sys.stdout.write(export_dot(graph, overlay=shortcuts, invented=invented))
+    sys.stdout.write(export_dot(graph, invented=invented))
     return OK
 
 
@@ -398,13 +364,10 @@ def _allowable(text: str) -> int:
 _FLAGS = {
     "--format": dict(choices=("json", "table"), default="json",
                      help="output format (default json)"),
-    "--tolerance": dict(type=_tolerance, default=Fraction(1, 10),
+    "--tolerance": dict(type=_tolerance, default=DEFAULT_TOLERANCE,
                         help="fitness tolerance as a rational, e.g. 0.1 or 1/10"),
     "--allowable": dict(type=_allowable, default=None,
                         help="suppress inventions heavier than this cap"),
-    "--use-invented": dict(action="store_true",
-                           help="no effect on matrix input: a path through an invention "
-                                "weighs exactly the direct edge, so the result is unchanged"),
 }
 
 
@@ -426,7 +389,7 @@ def _build_parser() -> _Parser:
     command("validate", _validate, "report structural violations of a matrix", "--format")
 
     query = command("query", _query, "best destination and invented alternates for a source",
-                    "--format", "--tolerance", "--allowable", "--use-invented")
+                    "--format", "--tolerance", "--allowable")
     pick = query.add_mutually_exclusive_group(required=True)
     pick.add_argument("--source", help="source label to query")
     pick.add_argument("--all-sources", action="store_true",
@@ -437,18 +400,10 @@ def _build_parser() -> _Parser:
                        help="skip invention, report the best path only")
 
     command("invent", _invent, "invented edges for every source", "--format", "--allowable")
-    contract = command("contract", _contract, "contraction overlay (shortcut edges)",
-                       "--format")
-    contract.add_argument("--order", default=None,
-                          help="comma-separated node labels, least important first")
 
     export = command("export", _export, "render the graph as Graphviz DOT", "--allowable")
-    export.add_argument("--dot", action="store_true",
-                        help="DOT output (the only format; accepted for clarity)")
     export.add_argument("--invent", action="store_true", dest="with_invented",
                         help="include invented edges")
-    export.add_argument("--contract", action="store_true", dest="with_shortcuts",
-                        help="include shortcut edges")
     return parser
 
 
@@ -460,9 +415,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except BadOrder as exc:
-        sys.stderr.write(f"conicroute: {exc}\n")
-        return USAGE_ERROR
     except ValidationFailed as exc:
         sys.stderr.write(f"conicroute: validation failed: {exc}\n")
         for violation in exc.violations:

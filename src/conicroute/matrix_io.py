@@ -9,7 +9,7 @@ File layout (UTF-8, comma-separated, LF):
 
 Destination offsets are positive and strictly increasing; an empty cell
 means "no edge". Hidden paths travel in their own CSV with the header
-``from,to,true_weight``; each unordered destination pair appears once.
+``from,to,true_weight``, one row per unordered pair of distinct destinations.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
     """Parse a ``from,to,true_weight`` CSV against a graph's labels.
 
     Returns the paths keyed by their unordered destination pair, in file
-    order; a pair given twice, in either orientation, is a parse error.
+    order. A pair given twice, in either orientation, is a parse error, and
+    so is a destination paired with itself.
     """
     records = _records(text)
     if not records or records[0] != ["from", "to", "true_weight"]:
@@ -213,6 +214,8 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
         for node in (src, dst):
             if node.kind is not NodeKind.DESTINATION:
                 raise ParseError(line, f"{node.label!r} is not a destination")
+        if src.id == dst.id:
+            raise ParseError(line, f"hidden path joins {src.label!r} to itself")
         pair = frozenset((src.id, dst.id))
         if pair in paths:
             first = 2 + list(paths).index(pair)  # every earlier row added one entry

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import io
 import json
 import os
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conicroute
+from conicroute import cli
 from conicroute.cli import MAX_TOLERANCE_EXPONENT, main
 
 from conftest import HIDDEN_PATH, MATRIX_PATH
@@ -130,24 +133,13 @@ def test_query_table_format(capsys):
     assert "CMC -> MC  weight 459" in out
 
 
-def test_query_use_invented_traverses_inventions(capsys):
-    code, out, _ = run(capsys, "query", MATRIX, "--source", "Rumuomasi",
-                       "--use-invented")
-    assert code == 0
-    # triangle equality: routing through the invention never beats the originals
-    assert json.loads(out)["best"]["distance"] == 312
-    every = ("query", MATRIX, "--all-sources", "--hidden", HIDDEN, "--format", "table")
-    assert run(capsys, *every, "--use-invented") == run(capsys, *every)
-
-
-def test_query_use_invented_merges_only_the_queried_source(tmp_path, capsys):
-    # the two sources invent opposite orientations over the same pair; each
-    # query merges only its own invention, so neither run can cycle
+def test_query_sources_inventing_opposite_orientations(tmp_path, capsys):
+    # the two sources invent opposite orientations over the same pair, and
+    # each query still reports its own source's best destination
     cross = tmp_path / "cross.csv"
     cross.write_text("destinations,D1,D2\noffsets,1,2\nA,0,10,20\nB,1,25,12\n")
     for label, best in (("A", 10), ("B", 12)):
-        code, out, _ = run(capsys, "query", str(cross), "--source", label,
-                           "--use-invented")
+        code, out, _ = run(capsys, "query", str(cross), "--source", label)
         assert code == 0
         assert json.loads(out)["best"]["distance"] == best
 
@@ -211,6 +203,11 @@ def test_usage_error_exits_1(capsys):
         ("build", MATRIX, "--tolerance", "1"),
         ("export", MATRIX, "--format", "table"),
         ("invent", MATRIX, "--use-invented"),
+        # neither contraction nor traversal of inventions can change a matrix's output
+        ("query", MATRIX, "--source", "Rumuomasi", "--use-invented"),
+        ("export", MATRIX, "--dot"),
+        ("export", MATRIX, "--contract"),
+        ("contract", MATRIX),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
@@ -219,18 +216,37 @@ def test_usage_error_exits_1(capsys):
         assert ": error: " in err
 
 
+def test_every_declared_flag_is_read():
+    """Each subcommand argument's ``dest`` is read as ``args.<dest>`` in cli.py.
+
+    This catches a flag that no code reads. It cannot see a flag that is read
+    but cannot change the output, as ``export --contract`` was: it ran
+    ``build_hierarchy``, whose shortcuts on a matrix graph are always empty.
+    """
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    subcommands, = (action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unread = [f"{name} {action.option_strings or action.dest}"
+              for name, parser in subcommands.items() for action in parser._actions
+              if not isinstance(action, argparse._HelpAction) and action.dest not in read]
+    assert subcommands
+    assert unread == []
+
+
 @pytest.mark.parametrize("argv, code, expected", [
     (["build", MATRIX], 0, "node Rumuomasi  source  offset 0\n"),
     (["build", MATRIX], 0, "edge Rumuomasi -> CMC  weight 312\n"),
     (["validate", MATRIX], 0, "valid\n"),
     (["validate", "{bad}"], 2,
      "EqualAdjacentWeight: source 'S1' already has an edge of weight 5\n"),
-    (["contract", MATRIX], 0, "no shortcuts\n"),
     (["query", MATRIX, "--source", "Rumuomasi", "--no-invent"], 0,
      "best: CMC  distance 312  via Rumuomasi -> CMC\ninvented alternates: none\n"),
     (["query", "{isolated}", "--all-sources"], 0,
      "source: S2\nbest: (no reachable destination)\ninvented alternates: none\n"),
-], ids=["build_nodes", "build_edges", "validate_clean", "validate_violation", "contract",
+], ids=["build_nodes", "build_edges", "validate_clean", "validate_violation",
         "query_no_invent", "query_all_sources_unreachable"])
 def test_table_format(tmp_path, capsys, argv, code, expected):
     bad, isolated = tmp_path / "bad.csv", tmp_path / "isolated.csv"
@@ -251,30 +267,12 @@ def test_invent_command(capsys):
     }]
 
 
-def test_contract_command_no_shortcuts_on_fixture(capsys):
-    code, out, _ = run(capsys, "contract", MATRIX)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["shortcuts"] == []
-    assert len(payload["order"]) == 12
-
-
-def test_contract_command_chain(tmp_path, capsys):
-    # two sources bridged through shared destinations cannot arise from a
-    # matrix, so drive the chain through contract --order on an ad-hoc file
-    chain = tmp_path / "chain.csv"
-    chain.write_text("destinations,B\noffsets,1\nA,0,2\n")
-    code, out, _ = run(capsys, "contract", str(chain), "--order", "A,B")
-    assert code == 0
-    assert json.loads(out)["shortcuts"] == []
-
-
 def test_export_dot(capsys):
-    code, out, _ = run(capsys, "export", MATRIX, "--dot", "--invent")
+    code, out, _ = run(capsys, "export", MATRIX, "--invent")
     assert code == 0
     assert out.startswith("digraph conic {")
     assert 'CMC -> MC [label="459", style=dotted];' in out
-    _, again, _ = run(capsys, "export", MATRIX, "--dot", "--invent")
+    _, again, _ = run(capsys, "export", MATRIX, "--invent")
     assert again == out
 
 
@@ -282,18 +280,6 @@ def test_export_table_smoke(capsys):
     code, out, _ = run(capsys, "invent", MATRIX, "--format", "table")
     assert code == 0
     assert "Rumuomasi: CMC->MC (459)" in out
-
-
-def test_contract_order_must_name_every_node_once(capsys):
-    labels = [n["label"] for n in json.loads(run(capsys, "build", MATRIX)[1])["nodes"]]
-    partial = "CMC"
-    duplicated = ",".join(labels[:-1] + labels[:1])
-    unknown = ",".join(labels[:-1] + ["Z"])
-    for order in (partial, duplicated, unknown):
-        code, out, err = run(capsys, "contract", MATRIX, "--order", order)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("conicroute: ") and err.count("\n") == 1
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
@@ -413,7 +399,7 @@ def test_any_matrix_bytes_end_in_a_documented_exit(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "any_matrix.csv"
     path.write_bytes(data)
     for argv in (["build"], ["validate"], ["query", "--all-sources"], ["invent"],
-                 ["contract"], ["export", "--invent", "--contract"]):
+                 ["export", "--invent"]):
         _ends_cleanly([argv[0], str(path), *argv[1:]])
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conicroute import contraction
 from conicroute.contraction import Contractor, Shortcut, build_hierarchy, contract_node
 from conicroute.dijkstra import shortest_paths
-from conicroute.errors import AlreadyContracted, CycleCreated, GraphNotFrozen
+from conicroute.errors import AlreadyContracted, BadOrder, CycleCreated, GraphNotFrozen
 from conicroute.graph import ConicGraph, Edge, NodeKind, Provenance
 
 from conftest import graph_from_edges, min_path_avoiding, random_dag
@@ -139,6 +139,12 @@ def test_build_hierarchy_bad_order_rejected():
     g = graph_from_edges(3, [(0, 1, 2), (1, 2, 3)])
     with pytest.raises(ValueError):
         build_hierarchy(g, [0, 0, 1])
+    # partial, repeated id, out-of-range id: each contraction entry point refuses
+    for order in ([0, 1], [0, 0, 1], [0, 1, 3]):
+        with pytest.raises(BadOrder, match="order must be a permutation"):
+            build_hierarchy(g, order)
+        with pytest.raises(BadOrder, match="order must be a permutation"):
+            contract_node(g, 1, order)
 
 
 def test_distance_preservation_on_random_dags():

@@ -239,6 +239,11 @@ def test_parse_hidden_paths_errors(hospital_graph):
     # hidden paths join destinations, never sources
     with pytest.raises(ParseError):
         parse_hidden_paths("from,to,true_weight\nRumuomasi,MC,10\n", hospital_graph)
+    # a destination paired with itself can never grade an invention
+    with pytest.raises(ParseError) as err:
+        parse_hidden_paths("from,to,true_weight\nCMC,CMC,5\n", hospital_graph)
+    assert type(err.value) is ParseError
+    assert str(err.value) == "line 2: hidden path joins 'CMC' to itself"
     # one path per unordered pair, in either orientation
     for repeat in ("CMC,MC,7", "MC,CMC,7"):
         with pytest.raises(ParseError) as err:

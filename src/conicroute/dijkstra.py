@@ -1,36 +1,93 @@
 """Single-source shortest paths over a frozen conic graph.
 
-Classic heap-driven search: every label starts at infinity except the
-source, EXTRACT-MIN settles one node per round, and each outgoing edge is
-relaxed. The frontier uses lazy re-insertion. relax() pushes a node only
-when its label strictly drops and weights are positive, so an entry is
-stale exactly when its distance exceeds the node's label; stale entries
-are discarded on pop against that label, with no settled set. Ties on
-distance settle the smaller node id first, so runs are deterministic.
+Classic heap-driven search: only the source starts with a label, EXTRACT-MIN
+settles one node per round, and each outgoing edge is relaxed. Labels are
+stored for reached nodes only, so a search costs the part of the graph it
+reaches, not the node count; the finished state reads them as a total map
+in which a node not reached has an infinite label. The frontier uses lazy
+re-insertion. A node is pushed only when its label strictly drops and
+weights are positive, so an entry is stale exactly when its distance
+exceeds the node's label; stale entries are discarded on pop against that
+label, with no settled set. Ties on distance settle the smaller node id
+first, so runs are deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import inf
 
 from .errors import Unreachable
 from .graph import ConicGraph, Edge, NodeId, Provenance
 
 
+class _Labels(MutableMapping):
+    """The labels of a search, read as a total map over node ids 0..n-1.
+
+    Only the reached labels are stored; every other node id reads inf. A key
+    names a node exactly as it would in a dict keyed by the ints 0..n-1:
+    True and 1.0 find node 1. Keys outside the node ids are stored as given,
+    and a deletion stores every label explicitly from then on.
+    """
+
+    __slots__ = ("_reached", "_n")
+
+    def __init__(self, reached: dict, n: int) -> None:
+        self._reached, self._n = reached, n
+
+    def _is_node(self, key) -> bool:
+        h = hash(key)
+        return 0 <= h < self._n and key == h
+
+    def _others(self) -> list:
+        return [key for key in self._reached if not self._is_node(key)]
+
+    def __getitem__(self, key):
+        try:
+            return self._reached[key]
+        except KeyError:
+            if self._is_node(key):
+                return inf
+            raise
+
+    def __setitem__(self, key, value) -> None:
+        self._reached[hash(key) if self._is_node(key) else key] = value
+
+    def __delitem__(self, key) -> None:
+        if self._n:  # a deleted node id leaves the range
+            self._reached, self._n = dict(self.items()), 0
+        del self._reached[key]
+
+    def __iter__(self):
+        yield from range(self._n)
+        yield from self._others()
+
+    def __reversed__(self):
+        yield from reversed(self._others())
+        yield from reversed(range(self._n))
+
+    def __len__(self) -> int:
+        return self._n + len(self._others())
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass
 class SearchState:
     """Working state of one search; final once the frontier is drained.
 
-    ``dist`` holds every node of the graph (infinite when unreached);
-    ``pred`` holds reached nodes only, the source mapped to None. A state
-    belongs to a single query; any number of queries may run concurrently
-    over one frozen graph.
+    ``dist`` maps a node to its label: a plain dict while relax() works on
+    it, a total map over the graph's nodes once shortest_paths returns it,
+    in which a node not reached reads inf. ``pred`` holds reached nodes
+    only, the source mapped to None. A state belongs to a single query; any
+    number of queries may run concurrently over one frozen graph.
     """
 
     source: NodeId
-    dist: dict[NodeId, int | float]
+    dist: MutableMapping[NodeId, int | float]
     pred: dict[NodeId, NodeId | None]
     frontier: list[tuple[int | float, NodeId]] = field(default_factory=list)
     settled_order: list[NodeId] = field(default_factory=list)
@@ -46,14 +103,15 @@ class PathResult:
 def relax(edge: Edge, state: SearchState) -> bool:
     """Lower dist[edge.dst] through edge if that improves it.
 
-    Returns whether an update happened; updated nodes are (re)pushed onto
-    the frontier.
+    A node without a label counts as unreached (inf). Returns whether an
+    update happened; updated nodes are (re)pushed onto the frontier.
+    shortest_paths runs this rule inline.
     """
-    tail = state.dist[edge.src]
-    if tail + edge.weight < state.dist[edge.dst]:
-        state.dist[edge.dst] = tail + edge.weight
+    label = state.dist.get(edge.src, inf) + edge.weight
+    if label < state.dist.get(edge.dst, inf):
+        state.dist[edge.dst] = label
         state.pred[edge.dst] = edge.src
-        heapq.heappush(state.frontier, (state.dist[edge.dst], edge.dst))
+        heappush(state.frontier, (label, edge.dst))
         return True
     return False
 
@@ -64,28 +122,32 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
 
     Only original edges are traversed unless use_invented is set, in which
     case shortcut and invented edges participate as well. Unreachable nodes
-    keep an infinite distance label and have no ``pred`` entry; the nodes
+    read an infinite distance label and have no ``pred`` entry; the nodes
     in ``pred`` are exactly those in ``settled_order``.
     """
     graph._require_frozen()
     graph._check_node(source)
-    state = SearchState(
-        source=source,
-        dist=graph._dist_template.copy(),
-        pred={source: None},
-    )
-    state.dist[source] = 0
-    heapq.heappush(state.frontier, (0, source))
-    while state.frontier:
-        d, node = heapq.heappop(state.frontier)
-        if d > state.dist[node]:
+    # relax() inline, on locals: a Python call per edge would cost more than
+    # the search itself
+    dist = {source: 0}
+    pred = {source: None}
+    frontier = [(0, source)]
+    settled = []
+    label_of, out, original = dist.get, graph._out, Provenance.ORIGINAL
+    while frontier:
+        d, node = heappop(frontier)
+        if d > dist[node]:
             continue  # stale entry superseded by a later, smaller label
-        state.settled_order.append(node)
-        for edge in graph.out_edges(node):
-            if not use_invented and edge.provenance is not Provenance.ORIGINAL:
+        settled.append(node)
+        for edge in out[node]:
+            if not use_invented and edge.provenance is not original:
                 continue
-            relax(edge, state)
-    return state
+            label, dst = d + edge.weight, edge.dst
+            if label < label_of(dst, inf):
+                dist[dst] = label
+                pred[dst] = node
+                heappush(frontier, (label, dst))
+    return SearchState(source, _Labels(dist, graph.node_count), pred, frontier, settled)
 
 
 def path_to(state: SearchState, target: NodeId) -> PathResult:

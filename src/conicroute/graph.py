@@ -14,12 +14,13 @@ cycle or reorders the nodes of that window. add_edge and extend() both
 accept an edge by this rule.
 
 A graph is immutable after freeze(), which drops the state only add_node
-and add_edge read, turns each node's out-edge list into a tuple sorted by
-target offset and builds the one label template a query copies, so that a
-query costs its source's fan-out rather than the node count. Derived edges
-(shortcuts from contraction, invented edges) never mutate a frozen graph in
-place — extend() returns a new frozen graph with its own ranks that shares
-the base's nodes, label template and every adjacency tuple it leaves as is.
+and add_edge read and turns each node's out-edge list into a tuple sorted by
+target offset. A query holds no per-node state of the graph's size: it
+stores labels for the nodes it reaches only, so it costs its source's
+fan-out rather than the node count. Derived edges (shortcuts from
+contraction, invented edges) never mutate a frozen graph in place —
+extend() returns a new frozen graph with its own ranks that shares the
+base's nodes and every adjacency tuple it leaves as is.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from math import inf
 
 from .errors import (
     CycleCreated,
@@ -152,9 +152,6 @@ class ConicGraph:
             # a stable sort, so parallel edges keep the order they were added in
             key = self._offset_key
             self._out = [tuple(sorted(edges, key=key)) if edges else () for edges in self._out]
-            # search distance template, copied (at C speed) by every query; no
-            # node can be added once frozen, so it stays current
-            self._dist_template = dict.fromkeys(range(len(self._nodes)), inf)
             self._frozen = True
         return self
 
@@ -175,7 +172,7 @@ class ConicGraph:
         # built field by field: copy.copy reads self.__dict__, which would move
         # this graph's attributes into a dict that slows every later query
         g = ConicGraph.__new__(ConicGraph)
-        g._nodes, g._by_label, g._dist_template = self._nodes, self._by_label, self._dist_template
+        g._nodes, g._by_label = self._nodes, self._by_label
         g._edges, g._frozen = self._edges + list(derived), True
         out = g._out = list(self._out)
         rank, preds = g._rank, g._preds = list(self._rank), self._preds.copy()

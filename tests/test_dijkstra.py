@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicroute.dijkstra import path_to, relax, shortest_paths, SearchState
 from conicroute.errors import GraphNotFrozen, Unreachable, UnknownNode
@@ -60,6 +63,16 @@ def test_relax_no_improvement():
 def test_relax_from_unreached_tail():
     state = SearchState(source=0, dist={0: inf, 1: 500}, pred={0: None, 1: None})
     assert relax(Edge(0, 1, 10), state) is False
+
+
+def test_relax_reads_a_missing_label_as_unreached():
+    state = SearchState(source=0, dist={0: 0}, pred={0: None})
+    assert relax(Edge(0, 1, 312), state) is True
+    assert state.dist == {0: 0, 1: 312}
+    assert state.pred == {0: None, 1: 0}
+    assert state.frontier == [(312, 1)]
+    assert relax(Edge(2, 1, 10), state) is False  # node 2 has no label
+    assert state.dist == {0: 0, 1: 312}
 
 
 def test_path_to_hospital(hospital_graph):
@@ -146,3 +159,100 @@ def test_invented_edges_only_traversed_on_request():
     assert plain.dist[d2] == inf
     derived = shortest_paths(extended, s, use_invented=True)
     assert derived.dist[d2] == 140
+
+
+def _search_graph(seed: int) -> ConicGraph:
+    """A random DAG plus up to three forward invented edges."""
+    rng = random.Random(seed)
+    g = random_dag(rng, max_nodes=10)
+    pairs = [(i, j) for i in range(g.node_count) for j in range(i + 1, g.node_count)]
+    invented = [Edge(i, j, rng.randint(1, 1000), Provenance.INVENTED)
+                for i, j in rng.sample(pairs, min(3, len(pairs)))]
+    return g.extend(invented)
+
+
+def _answers(labels, keys: list) -> tuple:
+    """Every answer a label map gives, keys compared by type as well as value."""
+    def attempt(read):
+        try:
+            return read()
+        except (KeyError, TypeError) as exc:
+            return type(exc)
+
+    def typed(items):
+        return [(type(k), k) for k in items]
+
+    return (
+        [attempt(lambda k=k: labels[k]) for k in keys],
+        [attempt(lambda k=k: labels.get(k)) for k in keys],
+        [attempt(lambda k=k: labels.get(k, "none")) for k in keys],
+        [attempt(lambda k=k: k in labels) for k in keys],
+        len(labels), typed(labels), typed(reversed(labels)), typed(labels.keys()),
+        [(type(k), k, v) for k, v in labels.items()], list(labels.values()),
+        typed(dict(labels)), repr(labels),
+    )
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_dist_answers_as_the_dense_label_map(seed, use_invented):
+    g = _search_graph(seed)
+    n = g.node_count
+    source = random.Random(seed).randrange(n)
+    labels = shortest_paths(g, source, use_invented=use_invented).dist
+    dense = brute_force_distances(g, source, include_derived=use_invented)
+    # 2**61 - 1 hashes to 0 without being node 0
+    keys = list(range(n)) + [-1, n, True, False, 1.0, 0.5, "a", 2**61 - 1, None, []]
+
+    def same() -> None:
+        assert _answers(labels, keys) == _answers(dense, keys)
+        assert labels == dense and dense == labels
+        assert not (labels != dense) and not (dense != labels)
+        other = {**dense, n - 1: -1}
+        assert labels != other and other != labels
+        assert not (labels == other) and not (other == labels)
+
+    same()
+    for key, value in [(n - 1, 0), (True, 5), (2.0, 4), (n, 9), (-1, 3), ("a", 1)]:
+        labels[key] = dense[key] = value
+    same()
+    for key in (0, n, True):
+        del labels[key]
+        del dense[key]
+    same()
+    labels[True] = dense[True] = 6  # node 1 was deleted, so the key is stored as given
+    same()
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_search_loop_and_relax_keep_one_rule(seed, use_invented):
+    g = _search_graph(seed)
+    source = random.Random(seed).randrange(g.node_count)
+    state = shortest_paths(g, source, use_invented=use_invented)
+    replay = SearchState(source=source, dist={source: 0}, pred={source: None})
+    for node in state.settled_order:
+        for edge in g.out_edges(node):
+            if use_invented or edge.provenance is Provenance.ORIGINAL:
+                relax(edge, replay)
+    assert state.dist == {node: replay.dist.get(node, inf) for node in range(g.node_count)}
+    assert state.pred == replay.pred
+
+
+def test_a_search_allocates_for_its_fan_out_not_the_node_count():
+    g = ConicGraph()
+    s = g.add_node("s", NodeKind.SOURCE, 0)
+    for j in range(50_000):
+        g.add_node(f"d{j}", NodeKind.DESTINATION, j + 1)
+    for dst, weight in ((8, 5), (25_001, 3), (50_000, 9)):
+        g.add_edge(s, dst, weight)
+    g.freeze()
+    tracemalloc.start()
+    try:
+        state = shortest_paths(g, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    assert state.settled_order == [s, 25_001, 8, 50_000]
+    assert state.dist[1] == inf and len(state.dist) == g.node_count

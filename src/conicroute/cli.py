@@ -86,7 +86,7 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
         raise UnknownSourceLabel(f"no source labelled {source_label!r}") from None
     if source.kind is not NodeKind.SOURCE:
         raise UnknownSourceLabel(f"{source_label!r} is a destination, not a source")
-    policy = PolicyThreshold(allowable) if allowable is not None else None
+    policy = _policy(allowable)
     state = shortest_paths(graph, source.id)
 
     # the drained search settled exactly the nodes with a finite label
@@ -268,8 +268,8 @@ def _load_graph(path: Path) -> ConicGraph:
     return to_graph(parse_build_matrix(_read(path)))
 
 
-def _policy(args) -> "PolicyThreshold | None":
-    return PolicyThreshold(args.allowable) if args.allowable is not None else None
+def _policy(allowable: "int | None") -> "PolicyThreshold | None":
+    return PolicyThreshold(allowable) if allowable is not None else None
 
 
 def _build(args) -> int:
@@ -308,7 +308,7 @@ def _query(args) -> int:
 
 def _invent(args) -> int:
     graph = _load_graph(args.matrix)
-    _emit(args, _invent_payload(graph, invent_all(graph, _policy(args))), _invent_table)
+    _emit(args, _invent_payload(graph, invent_all(graph, _policy(args.allowable))), _invent_table)
     return OK
 
 
@@ -316,7 +316,8 @@ def _export(args) -> int:
     graph = _load_graph(args.matrix)
     invented = None
     if args.with_invented:
-        invented = [e for group in invent_all(graph, _policy(args)).values() for e in group]
+        by_source = invent_all(graph, _policy(args.allowable))
+        invented = [e for group in by_source.values() for e in group]
     sys.stdout.write(export_dot(graph, invented=invented))
     return OK
 

@@ -3,10 +3,10 @@
 Classic heap-driven search: only the source starts with a label, EXTRACT-MIN
 settles one node per round, and each outgoing edge is relaxed. Labels are
 stored for reached nodes only, so a search costs the part of the graph it
-reaches, not the node count; the finished state reads them as a total map
-in which a node not reached has an infinite label. The frontier uses lazy
-re-insertion. A node is pushed only when its label strictly drops and
-weights are positive, so an entry is stale exactly when its distance
+reaches, not the node count; the finished state reads them as a read-only
+total map in which a node not reached has an infinite label. The frontier
+uses lazy re-insertion. A node is pushed only when its label strictly drops
+and weights are positive, so an entry is stale exactly when its distance
 exceeds the node's label; stale entries are discarded on pop against that
 label, with no settled set. Ties on distance settle the smaller node id
 first, so runs are deterministic.
@@ -14,22 +14,21 @@ first, so runs are deterministic.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
 
 from .errors import Unreachable
-from .graph import ConicGraph, Edge, NodeId, Provenance
+from .graph import ConicGraph, NodeId, Provenance
 
 
-class _Labels(MutableMapping):
+class _Labels(Mapping):
     """The labels of a search, read as a total map over node ids 0..n-1.
 
     Only the reached labels are stored; every other node id reads inf. A key
     names a node exactly as it would in a dict keyed by the ints 0..n-1:
-    True and 1.0 find node 1. Keys outside the node ids are stored as given,
-    and a deletion stores every label explicitly from then on.
+    True and 1.0 find node 1. The map is read-only.
     """
 
     __slots__ = ("_reached", "_n")
@@ -37,39 +36,20 @@ class _Labels(MutableMapping):
     def __init__(self, reached: dict, n: int) -> None:
         self._reached, self._n = reached, n
 
-    def _is_node(self, key) -> bool:
-        h = hash(key)
-        return 0 <= h < self._n and key == h
-
-    def _others(self) -> list:
-        return [key for key in self._reached if not self._is_node(key)]
-
     def __getitem__(self, key):
         try:
             return self._reached[key]
         except KeyError:
-            if self._is_node(key):
+            h = hash(key)
+            if 0 <= h < self._n and key == h:
                 return inf
             raise
 
-    def __setitem__(self, key, value) -> None:
-        self._reached[hash(key) if self._is_node(key) else key] = value
-
-    def __delitem__(self, key) -> None:
-        if self._n:  # a deleted node id leaves the range
-            self._reached, self._n = dict(self.items()), 0
-        del self._reached[key]
-
     def __iter__(self):
-        yield from range(self._n)
-        yield from self._others()
-
-    def __reversed__(self):
-        yield from reversed(self._others())
-        yield from reversed(range(self._n))
+        return iter(range(self._n))
 
     def __len__(self) -> int:
-        return self._n + len(self._others())
+        return self._n
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -77,20 +57,18 @@ class _Labels(MutableMapping):
 
 @dataclass
 class SearchState:
-    """Working state of one search; final once the frontier is drained.
+    """The finished search from one source.
 
-    ``dist`` maps a node to its label: a plain dict while relax() works on
-    it, a total map over the graph's nodes once shortest_paths returns it,
-    in which a node not reached reads inf. ``pred`` holds reached nodes
-    only, the source mapped to None. A state belongs to a single query; any
-    number of queries may run concurrently over one frozen graph.
+    ``dist`` is a read-only total map over the graph's nodes in which a
+    node not reached reads inf. ``pred`` holds reached nodes only, the
+    source mapped to None. A state belongs to a single query; any number of
+    queries may run concurrently over one frozen graph.
     """
 
     source: NodeId
-    dist: MutableMapping[NodeId, int | float]
+    dist: Mapping[NodeId, int | float]
     pred: dict[NodeId, NodeId | None]
-    frontier: list[tuple[int | float, NodeId]] = field(default_factory=list)
-    settled_order: list[NodeId] = field(default_factory=list)
+    settled_order: list[NodeId]
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,22 +76,6 @@ class PathResult:
     target: NodeId
     distance: int
     nodes: tuple[NodeId, ...]
-
-
-def relax(edge: Edge, state: SearchState) -> bool:
-    """Lower dist[edge.dst] through edge if that improves it.
-
-    A node without a label counts as unreached (inf). Returns whether an
-    update happened; updated nodes are (re)pushed onto the frontier.
-    shortest_paths runs this rule inline.
-    """
-    label = state.dist.get(edge.src, inf) + edge.weight
-    if label < state.dist.get(edge.dst, inf):
-        state.dist[edge.dst] = label
-        state.pred[edge.dst] = edge.src
-        heappush(state.frontier, (label, edge.dst))
-        return True
-    return False
 
 
 def shortest_paths(graph: ConicGraph, source: NodeId,
@@ -127,8 +89,8 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
     """
     graph._require_frozen()
     graph._check_node(source)
-    # relax() inline, on locals: a Python call per edge would cost more than
-    # the search itself
+    # the relaxation rule runs inline, on locals: a Python call per edge
+    # would cost more than the search itself
     dist = {source: 0}
     pred = {source: None}
     frontier = [(0, source)]
@@ -147,7 +109,7 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
                 dist[dst] = label
                 pred[dst] = node
                 heappush(frontier, (label, dst))
-    return SearchState(source, _Labels(dist, graph.node_count), pred, frontier, settled)
+    return SearchState(source, _Labels(dist, graph.node_count), pred, settled)
 
 
 def path_to(state: SearchState, target: NodeId) -> PathResult:

@@ -251,8 +251,9 @@ class ConicGraph:
         return (self._nodes[edge.dst].offset, edge.dst)
 
     def _check_node(self, node_id: NodeId) -> None:
-        if not 0 <= node_id < len(self._nodes):
-            raise UnknownNode(f"no node with id {node_id}")
+        # exactly int: a bool, float or str must not index the node lists
+        if type(node_id) is not int or not 0 <= node_id < len(self._nodes):
+            raise UnknownNode(f"no node with id {node_id!r}")
 
     def _check_edge(self, src: NodeId, dst: NodeId, weight: int) -> None:
         """The rules every edge obeys, original or derived."""

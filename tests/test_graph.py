@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conicroute.contraction import contract_node
+from conicroute.dijkstra import shortest_paths
 from conicroute.errors import (
     ConicRouteError,
     CycleCreated,
@@ -144,6 +147,22 @@ def test_add_edge_unknown_node():
         g.add_edge(s, 99, 10)
     with pytest.raises(UnknownNode):
         g.add_edge(99, s, 10)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "0", None, True], ids=repr)
+def test_node_ids_must_be_exact_ints(bad):
+    g = ConicGraph()
+    s = g.add_node("s", NodeKind.SOURCE, 0)
+    d = g.add_node("d", NodeKind.DESTINATION, 1)
+    for src, dst in ((bad, d), (s, bad)):
+        with pytest.raises(UnknownNode):
+            g.add_edge(src, dst, 3)
+    assert g.edges == () and not g._out_weights
+    g.add_edge(s, d, 3)
+    g.freeze()
+    for call in (g.node, g.out_edges, partial(shortest_paths, g), partial(contract_node, g)):
+        with pytest.raises(UnknownNode):
+            call(bad)
 
 
 def test_add_edge_cycle_rejected():

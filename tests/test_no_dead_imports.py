@@ -1,10 +1,11 @@
 """Every module-level import in the engine is used; ``__init__.py`` is
-exempt, because it imports to re-export."""
+exempt, because it imports to re-export, and exports exactly what it binds."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import conicroute
 
@@ -43,3 +44,9 @@ def test_engine_has_no_unused_imports():
         used = _referenced_names(tree)
         unused += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_package_exports_exactly_its_public_names():
+    bound = {name for name, value in vars(conicroute).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(conicroute.__all__) == bound

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,7 +106,8 @@ def test_returned_lists_and_labels_do_not_leak_into_the_next_query():
     g.sources().clear()
     g.destinations().clear()
     for node in state.dist:
-        state.dist[node] = 0
+        with pytest.raises(TypeError):
+            state.dist[node] = 0
         state.pred[node] = source
 
     assert len(g.sources()) == 4
@@ -128,7 +130,8 @@ def test_extended_and_refrozen_graphs_keep_dense_independent_labels():
     state = shortest_paths(extended, source)
     assert list(state.dist) == list(range(g.node_count))
     for node in state.dist:
-        state.dist[node] = 0
+        with pytest.raises(TypeError):
+            state.dist[node] = 0
     assert shortest_paths(g, source).dist == base.dist
     assert shortest_paths(extended, source).dist[mc] == min(base.dist[mc],
                                                             base.dist[cmc] + 459)

@@ -23,7 +23,9 @@ topological on a DAG built in id order, pairs nearly every path v -> u -> w:
 on the benchmark's seed-1 DAG (300 nodes, 900 edges) the pair-count order
 runs 334 witness searches instead of 8,575 and emits 217 shortcuts instead
 of 2,046. On a bipartite graph every count is 0, so the order is node-id
-order.
+order. The working adjacency (each edge copied into per-node in and out
+maps) is built only when a count first meets a node with both an in-edge
+and an out-edge, so a graph without pairs, such as a matrix, builds none.
 """
 
 from __future__ import annotations
@@ -90,44 +92,57 @@ class Contractor:
 
     def __init__(self, graph: ConicGraph, order: Iterable[NodeId] | None = None):
         graph._require_frozen()
-        if order is None:
-            order = range(graph.node_count)
-        order = tuple(order)
-        if sorted(order) != list(range(graph.node_count)):
-            raise BadOrder("order must be a permutation of all node ids")
+        n = graph.node_count
         self.graph = graph
-        self.order = order
-        # by node id: the inverse of the order permutation
-        self._pos = sorted(range(graph.node_count), key=order.__getitem__)
+        if order is None:
+            self.order, self._pos = tuple(range(n)), range(n)
+        else:
+            self.order = order = tuple(order)
+            # by node id: the inverse of the order permutation, n while unseen
+            pos = self._pos = [n] * n
+            if len(order) != n:
+                raise BadOrder("order must be a permutation of all node ids")
+            for i, u in enumerate(order):
+                if type(u) is not int or not 0 <= u < n or pos[u] < n:
+                    raise BadOrder("order must be a permutation of all node ids")
+                pos[u] = i
         self._contracted: set[NodeId] = set()
-        # by node id, each neighbour once, through its lightest parallel edge
-        out = self._out = [{} for _ in range(graph.node_count)]
-        into = self._in = [{} for _ in range(graph.node_count)]
-        for edge in graph.edges:
-            src, dst, weight = edge.src, edge.dst, edge.weight
-            if weight < out[src].get(dst, weight + 1):
-                out[src][dst] = into[dst][src] = weight
+        self._in = self._out = None  # built by _adjacency() on first use
         self.shortcuts: list[Shortcut] = []
+
+    def _adjacency(self) -> tuple[list[dict[NodeId, int]], list[dict[NodeId, int]]]:
+        """(in, out) by node id, each neighbour once, through its lightest
+        parallel edge; contract() writes its shortcuts into both."""
+        if self._out is None:
+            n = self.graph.node_count
+            out = self._out = [{} for _ in range(n)]
+            into = self._in = [{} for _ in range(n)]
+            for edge in self.graph._edges:
+                src, dst, weight = edge.src, edge.dst, edge.weight
+                if weight < out[src].get(dst, weight + 1):
+                    out[src][dst] = into[dst][src] = weight
+        return self._in, self._out
 
     def contract(self, u: NodeId) -> list[Shortcut]:
         """Contract u, returning (and retaining) any new shortcuts."""
         self.graph._check_node(u)
         if u in self._contracted:
             raise AlreadyContracted(f"node {u} already contracted")
+        into, out = self._adjacency()
         pos_u = self._pos[u]
         pairs = [
             (win + wout, v, w)
-            for v, win in self._in[u].items() if self._pos[v] < pos_u
-            for w, wout in self._out[u].items() if self._pos[w] > pos_u
+            for v, win in into[u].items() if self._pos[v] < pos_u
+            for w, wout in out[u].items() if self._pos[w] > pos_u
         ]
         pairs.sort()
         emitted: list[Shortcut] = []
         for bound, v, w in pairs:
-            if _bounded_search(self._out, v, w, bound, u):
+            if _bounded_search(out, v, w, bound, u):
                 continue
             emitted.append(Shortcut(v, w, bound, u))
             # an edge v -> w already held avoids u: the failed search proves it heavier
-            self._out[v][w] = self._in[w][v] = bound
+            out[v][w] = into[w][v] = bound
         self._contracted.add(u)
         self.shortcuts.extend(emitted)
         return emitted
@@ -146,14 +161,17 @@ def _contract_by_pair_count(contractor: Contractor) -> tuple[NodeId, ...]:
     first, in id order, and a key pushed back is always above 0. So the
     seeds are a walk over the ids, and only a node with pairs enters the heap.
     """
-    n = contractor.graph.node_count
+    graph = contractor.graph
+    n, preds, edges_out = graph.node_count, graph._preds, graph._out
     pos = contractor._pos = [n] * n  # n: not yet placed
-    into, out = contractor._in, contractor._out
     order: list[NodeId] = []
 
     def count(u: NodeId) -> int:
-        if not (into[u] and out[u]):  # every source and destination of a matrix
+        # a shortcut v -> w implies v -> u -> w, so a node without an original
+        # in- or out-edge never gains one (every node of a matrix graph)
+        if not (preds.get(u) and edges_out[u]):
             return 0
+        into, out = contractor._adjacency()
         return (sum(pos[v] < n for v in into[u])
                 * sum(pos[w] == n for w in out[u]))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,12 +140,45 @@ def test_build_hierarchy_bad_order_rejected():
     g = graph_from_edges(3, [(0, 1, 2), (1, 2, 3)])
     with pytest.raises(ValueError):
         build_hierarchy(g, [0, 0, 1])
-    # partial, repeated id, out-of-range id: each contraction entry point refuses
-    for order in ([0, 1], [0, 0, 1], [0, 1, 3]):
+    # partial, repeated id, out-of-range id, ids that are not exact ints:
+    # each contraction entry point refuses
+    for order in ([0, 1], [0, 0, 1], [0, 1, 3], [0, 1, 2, 2], [-1, 0, 1],
+                  [True, 0, 1], [1.0, 0, 2]):
         with pytest.raises(BadOrder, match="order must be a permutation"):
             build_hierarchy(g, order)
         with pytest.raises(BadOrder, match="order must be a permutation"):
             contract_node(g, 1, order)
+
+
+def test_contraction_keeps_the_lightest_parallel_edge():
+    # 0 -> 1 weighs 3 whichever parallel edge came first, so 0 -> 1 -> 2
+    # weighs 7, and the lighter of the two direct edges 0 -> 2 witnesses it
+    for first_hop in ([(0, 1, 5), (0, 1, 3)], [(0, 1, 3), (0, 1, 5)]):
+        g = graph_from_edges(3, first_hop + [(1, 2, 4), (0, 2, 9), (0, 2, 6)])
+        assert contract_node(g, 1) == []
+        g = graph_from_edges(3, first_hop + [(1, 2, 4)])
+        assert contract_node(g, 1) == [Shortcut(0, 2, 7, 1)]
+
+
+def test_a_graph_without_pairs_builds_no_working_adjacency():
+    """A memory bound, not a wall clock: 500 sources x 250 destinations at
+    fan-out 40 (20,000 edges) have no pair, so nothing is copied."""
+    rng = random.Random(14)
+    g = ConicGraph()
+    sources = [g.add_node(f"s{i}", NodeKind.SOURCE, i) for i in range(500)]
+    destinations = [g.add_node(f"d{j}", NodeKind.DESTINATION, j) for j in range(250)]
+    for src in sources:
+        for weight, dst in enumerate(rng.sample(destinations, 40), start=1):
+            g.add_edge(src, dst, weight)
+    g.freeze()
+    tracemalloc.start()
+    try:
+        overlay = build_hierarchy(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert overlay.shortcuts == () and overlay.order == tuple(range(750))
 
 
 def test_distance_preservation_on_random_dags():
@@ -165,7 +199,7 @@ def test_shortcut_weight_is_sum_of_its_two_hops():
         g = random_dag(rng, max_nodes=20, density=0.3)
         contractor = Contractor(g)
         for u in contractor.order:
-            before = {src: dict(t) for src, t in enumerate(contractor._out)}
+            before = {src: dict(t) for src, t in enumerate(contractor._adjacency()[1])}
             for s in contractor.contract(u):
                 assert s.via == u
                 assert s.weight == before[s.src][u] + before[u][s.dst]

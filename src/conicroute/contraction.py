@@ -24,8 +24,8 @@ on the benchmark's seed-1 DAG (300 nodes, 900 edges) the pair-count order
 runs 334 witness searches instead of 8,575 and emits 217 shortcuts instead
 of 2,046. On a bipartite graph every count is 0, so the order is node-id
 order. The working adjacency (each edge copied into per-node in and out
-maps) is built only when a count first meets a node with both an in-edge
-and an out-edge, so a graph without pairs, such as a matrix, builds none.
+maps) is built only when the walk meets a node with an in- and an out-edge,
+so a graph without pairs, such as a matrix, builds none and extends to itself.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class Overlay:
     order: tuple[NodeId, ...]
 
     def extended_graph(self) -> ConicGraph:
-        """Base graph with all shortcuts merged in, ready for queries."""
+        """Base graph with all shortcuts merged in, ready for queries and DOT."""
         return self.base.extend([s.as_edge() for s in self.shortcuts])
 
 
@@ -167,34 +167,30 @@ def _contract_by_pair_count(contractor: Contractor) -> tuple[NodeId, ...]:
     order: list[NodeId] = []
 
     def count(u: NodeId) -> int:
-        # a shortcut v -> w implies v -> u -> w, so a node without an original
-        # in- or out-edge never gains one (every node of a matrix graph)
-        if not (preds.get(u) and edges_out[u]):
-            return 0
         into, out = contractor._adjacency()
         return (sum(pos[v] < n for v in into[u])
                 * sum(pos[w] == n for w in out[u]))
 
-    def place(u: NodeId, pairs: int) -> None:
-        pos[u] = len(order)
-        order.append(u)
-        if pairs:  # a node without pairs has nothing to search or emit
-            contractor.contract(u)
-
     heap: list[tuple[int, NodeId]] = []
     for u in range(n):
-        pairs = count(u)
+        # a shortcut v -> w implies v -> u -> w, so a node without an original
+        # in- or out-edge never gains one (every node of a matrix graph)
+        pairs = count(u) if preds.get(u) and edges_out[u] else 0
         if pairs:
             heapq.heappush(heap, (pairs, u))
-        else:
-            place(u, 0)
+        else:  # nothing to search or emit
+            pos[u] = len(order)
+            order.append(u)
     while heap:
         u = heapq.heappop(heap)[1]
         key = (count(u), u)
         if heap and key > heap[0]:
             heapq.heappush(heap, key)
         else:
-            place(u, key[0])
+            pos[u] = len(order)
+            order.append(u)
+            if key[0]:
+                contractor.contract(u)
     return tuple(order)
 
 

@@ -1,16 +1,15 @@
 """Deterministic DOT rendering of a graph and its derived edges.
 
-Original edges draw solid, shortcuts dashed, invented edges dotted; every
-edge carries its weight as a label. Identical inputs yield byte-identical
-text.
+Original edges draw solid, shortcuts (an overlay's extended graph) dashed,
+invented edges dotted; every edge carries its weight as a label. Identical
+inputs yield byte-identical text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .contraction import Shortcut
 from .graph import ConicGraph, NodeKind, Provenance
 from .invention import InventedEdge
 
@@ -32,10 +31,9 @@ def _dot_id(label: str) -> str:
     return '"' + label.translate(_ESCAPES) + '"'
 
 
-def export_dot(graph: ConicGraph, overlay: Sequence[Shortcut] | None = None,
-               invented: Iterable[InventedEdge] | None = None) -> str:
-    """Render the graph (plus optional shortcuts and inventions) as DOT."""
-    if graph.node_count == 0 and not overlay and not invented:
+def export_dot(graph: ConicGraph, *, invented: Iterable[InventedEdge] | None = None) -> str:
+    """Render the graph, its shortcuts included, plus optional inventions as DOT."""
+    if graph.node_count == 0:  # an invention joins two of the graph's nodes
         return "digraph conic {}\n"
     lines = ["digraph conic {", "  rankdir=LR;"]
     label = {node.id: _dot_id(node.label) for node in graph.nodes}
@@ -45,9 +43,8 @@ def export_dot(graph: ConicGraph, overlay: Sequence[Shortcut] | None = None,
     for edge in graph.edges:
         lines.append(f'  {label[edge.src]} -> {label[edge.dst]} '
                      f'[label="{edge.weight}"{_STYLE[edge.provenance]}];')
-    for edges, style in ((overlay or (), _STYLE[Provenance.SHORTCUT]),
-                         (invented or (), _STYLE[Provenance.INVENTED])):
-        for edge in edges:
-            lines.append(f'  {label[edge.src]} -> {label[edge.dst]} [label="{edge.weight}"{style}];')
+    dotted = _STYLE[Provenance.INVENTED]
+    for edge in invented or ():
+        lines.append(f'  {label[edge.src]} -> {label[edge.dst]} [label="{edge.weight}"{dotted}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

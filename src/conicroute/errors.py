@@ -84,7 +84,7 @@ class ParseError(ConicRouteError):
 
 
 class MalformedHeader(ParseError):
-    """First two lines do not form a destinations/offsets header."""
+    """First two records do not form a destinations/offsets header."""
 
 
 class RaggedRow(ParseError):

@@ -18,9 +18,9 @@ and add_edge read and turns each node's out-edge list into a tuple sorted by
 target offset. A query holds no per-node state of the graph's size: it
 stores labels for the nodes it reaches only, so it costs its source's
 fan-out rather than the node count. Derived edges (shortcuts from
-contraction, invented edges) never mutate a frozen graph in place —
-extend() returns a new frozen graph with its own ranks that shares the
-base's nodes and every adjacency tuple it leaves as is.
+contraction, invented edges) never mutate a frozen graph in place:
+extend() returns the graph itself for no edges, else a new frozen graph
+with its own ranks sharing the base's nodes and untouched adjacency tuples.
 """
 
 from __future__ import annotations
@@ -156,15 +156,19 @@ class ConicGraph:
         return self
 
     def extend(self, derived: "list[Edge] | tuple[Edge, ...]") -> "ConicGraph":
-        """Return a new frozen graph with derived (shortcut/invented) edges added.
+        """Return a frozen graph with derived (shortcut/invented) edges added.
 
-        The base graph is left untouched. Only SHORTCUT and INVENTED edges
-        are taken; all are checked first, then each is accepted by add_edge's
-        rank rule, so the combined edge set stays acyclic. The copy shares
-        every adjacency tuple it adds nothing to and costs O(V) list copies
-        plus its derived edges; a contraction shortcut is always forward in rank.
+        The base graph is left untouched, and a frozen graph never changes,
+        so with no derived edges it is returned as is. Only SHORTCUT and
+        INVENTED edges are taken; all are checked first, then each is
+        accepted by add_edge's rank rule, so the combined edge set stays
+        acyclic. Otherwise the copy shares every adjacency tuple it adds
+        nothing to and costs O(V) list copies plus its derived edges; a
+        contraction shortcut is always forward in rank.
         """
         self._require_frozen()
+        if not derived:
+            return self
         for edge in derived:
             if edge.provenance not in (Provenance.SHORTCUT, Provenance.INVENTED):
                 raise ValueError("extend() accepts derived edges only")
@@ -231,15 +235,10 @@ class ConicGraph:
         return [n for n in self._nodes if n.kind is NodeKind.DESTINATION]
 
     def out_edges(self, node_id: NodeId) -> tuple[Edge, ...]:
-        """All outgoing edges, sorted ascending by target offset.
-
-        A frozen graph sorted every node's tuple at freeze(), so a query
-        costs one list lookup.
-        """
+        """All outgoing edges, sorted ascending by target offset at freeze()."""
+        self._require_frozen()
         self._check_node(node_id)
-        if self._frozen:
-            return self._out[node_id]
-        return tuple(sorted(self._out[node_id], key=self._offset_key))
+        return self._out[node_id]
 
     def neighbors_ascending(self, node_id: NodeId) -> list[tuple[NodeId, int]]:
         """(target, weight) pairs in ascending target-offset order."""

@@ -53,14 +53,23 @@ def _int_cell(token: str, line: int, what: str) -> int:
         raise NonIntegerCell(line, f"{what} {token!r} is not an integer") from None
 
 
-def _records(text: str) -> list[list[str]]:
-    """CSV records without trailing blank lines, which are harmless."""
+def _check_increasing(prev: int, cur: int, line: int, what: str) -> None:
+    """The one offset-order rule: each offset exceeds the one before it."""
+    if cur == prev:
+        raise DuplicateOffsetInFile(line, f"{what} offset {cur} repeated")
+    if cur < prev:
+        raise DuplicateOffsetInFile(line, f"{what} offsets must increase, {cur} after {prev}")
+
+
+def _records(text: str) -> list[tuple[int, list[str]]]:
+    """(line, record) CSV pairs without trailing blank lines, which are harmless;
+    the line is the physical one a record ends on, where a row's cells are."""
     reader = csv.reader(io.StringIO(text))
     try:
-        records = list(reader)
+        records = [(reader.line_num, record) for record in reader]
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise ParseError(reader.line_num, str(exc)) from None
-    while records and not records[-1]:
+    while records and not records[-1][1]:
         records.pop()
     return records
 
@@ -68,30 +77,31 @@ def _records(text: str) -> list[list[str]]:
 def parse_build_matrix(text: str) -> BuildMatrix:
     """Parse transition-matrix CSV text into a BuildMatrix.
 
-    Every parse failure carries the 1-based line it was found on.
+    Every parse failure carries the 1-based physical line it was found on,
+    the last one of a record that spans lines.
     """
     records = _records(text)
-    if not records or not records[0] or records[0][0] != "destinations":
-        raise MalformedHeader(1, "expected a 'destinations,<labels...>' line")
-    labels = tuple(records[0][1:])
+    line, header = records[0] if records else (1, [])
+    if not header or header[0] != "destinations":
+        raise MalformedHeader(line, "expected a 'destinations,<labels...>' line")
+    labels = tuple(header[1:])
     if any(not label for label in labels):
-        raise MalformedHeader(1, "destination labels must be non-empty")
-    if len(records) < 2 or not records[1] or records[1][0] != "offsets":
-        raise MalformedHeader(2, "expected an 'offsets,<integers...>' line")
-    if len(records[1]) - 1 != len(labels):
-        raise MalformedHeader(2, f"{len(records[1]) - 1} offsets for {len(labels)} destinations")
-    offsets = tuple(_int_cell(tok, 2, "offset") for tok in records[1][1:])
+        raise MalformedHeader(line, "destination labels must be non-empty")
+    # a missing offsets record would start on the line after the header
+    line, record = records[1] if len(records) > 1 else (line + 1, [])
+    if not record or record[0] != "offsets":
+        raise MalformedHeader(line, "expected an 'offsets,<integers...>' line")
+    if len(record) - 1 != len(labels):
+        raise MalformedHeader(line, f"{len(record) - 1} offsets for {len(labels)} destinations")
+    offsets = tuple(_int_cell(tok, line, "offset") for tok in record[1:])
     for prev, cur in zip(offsets, offsets[1:]):
-        if cur == prev:
-            raise DuplicateOffsetInFile(2, f"destination offset {cur} repeated")
-        if cur < prev:
-            raise DuplicateOffsetInFile(2, f"destination offsets must increase, {cur} after {prev}")
+        _check_increasing(prev, cur, line, "destination")
     if offsets and offsets[0] <= 0:
-        raise MalformedHeader(2, "destination offsets must be positive")
+        raise MalformedHeader(line, "destination offsets must be positive")
 
     rows: list[MatrixRow] = []
     last_offset: int | None = None
-    for line, record in enumerate(records[2:], start=3):
+    for line, record in records[2:]:
         if not record:
             raise RaggedRow(line, "blank row inside the matrix body")
         if len(record) != 2 + len(labels):
@@ -100,12 +110,7 @@ def parse_build_matrix(text: str) -> BuildMatrix:
             )
         offset = _int_cell(record[1], line, "source offset")
         if last_offset is not None:
-            if offset == last_offset:
-                raise DuplicateOffsetInFile(line, f"source offset {offset} repeated")
-            if offset < last_offset:
-                raise DuplicateOffsetInFile(
-                    line, f"source offsets must increase, {offset} after {last_offset}"
-                )
+            _check_increasing(last_offset, offset, line, "source")
         last_offset = offset
         cells = tuple(
             None if tok == "" else _int_cell(tok, line, "cell")
@@ -200,10 +205,11 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
     so is a destination paired with itself.
     """
     records = _records(text)
-    if not records or records[0] != ["from", "to", "true_weight"]:
+    if not records or records[0][1] != ["from", "to", "true_weight"]:
         raise MalformedHeader(1, "expected header 'from,to,true_weight'")
     paths: dict[frozenset[NodeId], HiddenPath] = {}
-    for line, record in enumerate(records[1:], start=2):
+    first_line: dict[frozenset[NodeId], int] = {}
+    for line, record in records[1:]:
         if len(record) != 3:
             raise RaggedRow(line, f"expected 3 fields, got {len(record)}")
         try:
@@ -218,11 +224,11 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
             raise ParseError(line, f"hidden path joins {src.label!r} to itself")
         pair = frozenset((src.id, dst.id))
         if pair in paths:
-            first = 2 + list(paths).index(pair)  # every earlier row added one entry
             raise ParseError(line, f"duplicate hidden path {src.label!r}-{dst.label!r}, "
-                                   f"first given on line {first}")
+                                   f"first given on line {first_line[pair]}")
         weight = _int_cell(record[2], line, "true_weight")
         if weight <= 0:
             raise ParseError(line, f"true_weight must be positive, got {weight}")
         paths[pair] = HiddenPath(src=src.id, dst=dst.id, true_weight=weight)
+        first_line[pair] = line
     return paths

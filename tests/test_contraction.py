@@ -179,6 +179,7 @@ def test_a_graph_without_pairs_builds_no_working_adjacency():
         tracemalloc.stop()
     assert peak < 256 * 1024
     assert overlay.shortcuts == () and overlay.order == tuple(range(750))
+    assert overlay.extended_graph() is g  # no shortcut, no copy
 
 
 def test_distance_preservation_on_random_dags():

@@ -7,7 +7,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conicroute.contraction import Shortcut, build_hierarchy
+from conicroute.contraction import build_hierarchy
 from conicroute.dot import export_dot
 from conicroute.graph import ConicGraph, Edge, NodeKind, Provenance
 from conicroute.invention import InventedEdge, invent_all
@@ -26,13 +26,13 @@ def test_dot_contains_invented_edge_dotted(hospital_graph):
 
 def test_dot_shortcuts_drawn_dashed():
     g = graph_from_edges(3, [(0, 1, 2), (1, 2, 3)], ["a", "b", "c"])
-    overlay = build_hierarchy(g, [0, 1, 2])
-    text = export_dot(g, overlay=overlay.shortcuts)
-    assert 'a -> c [label="5", style=dashed];' in text
+    text = export_dot(build_hierarchy(g, [0, 1, 2]).extended_graph())
+    assert text.endswith('  b -> c [label="3"];\n  a -> c [label="5", style=dashed];\n}\n')
 
 
 def test_dot_empty_graph_skeleton():
-    assert export_dot(ConicGraph().freeze()) == "digraph conic {}\n"
+    for invented in (None, [], iter([])):
+        assert export_dot(ConicGraph().freeze(), invented=invented) == "digraph conic {}\n"
 
 
 def test_dot_is_deterministic(hospital_graph):
@@ -118,18 +118,15 @@ def test_every_edge_statement_reads_back_as_its_endpoints_and_style(labels, data
                    st.tuples(forward, st.sampled_from([Provenance.SHORTCUT,
                                                        Provenance.INVENTED])),
                    max_size=4)))]
-    graph = g.freeze().extend(derived)
-    overlay = [Shortcut(src, dst, 200 + i, via=src)
-               for i, (src, dst) in enumerate(data.draw(st.lists(forward, max_size=3)))]
+    graph = g.freeze().extend(derived)  # its SHORTCUT edges are how an overlay draws
     invented = [InventedEdge(origin=src, src=src, dst=dst, weight=300 + i,
                              pair_weights=(1, 301 + i))
                 for i, (src, dst) in enumerate(data.draw(st.lists(forward, max_size=3)))]
     expected = (
         [(labels[e.src], labels[e.dst], e.weight, e.provenance.value) for e in graph.edges]
-        + [(labels[s.src], labels[s.dst], s.weight, "shortcut") for s in overlay]
         + [(labels[e.src], labels[e.dst], e.weight, "invented") for e in invented]
     )
-    lines = export_dot(graph, overlay=overlay, invented=invented).split("\n")
+    lines = export_dot(graph, invented=invented).split("\n")
     assert lines[2 + n + len(expected):] == ["}", ""]  # no label broke a line
     for (src, dst, weight, provenance), line in zip(expected, lines[2 + n:]):
         assert line.startswith("  ")

@@ -101,8 +101,24 @@ def test_parse_out_of_order_source_offsets():
      "line 2: destination offsets must be positive"),
     ("destinations,A\noffsets,1\nS1,3,10\nS2,3,20\n", DuplicateOffset,
      "line 4: source offset 3 repeated"),
+    ("destinations,A\noffsets,1\nS1,0,10\n\nS2,1,20\n", RaggedRow,
+     "line 4: blank row inside the matrix body"),
+    # a quoted field that spans lines moves every later line
+    ('destinations,"C\nMC",MC\noffsets,1,2\nA,0,5,7\nB,1,x,3\n', NonIntegerCell,
+     "line 5: cell 'x' is not an integer"),
+    ('destinations,A\noffsets,1\n"S\n1",0,10\n\nS2,1,20\n', RaggedRow,
+     "line 5: blank row inside the matrix body"),
+    ('destinations,"A\nB",C\noffsets,2,1\n', DuplicateOffset,
+     "line 3: destination offsets must increase, 1 after 2"),
+    ('destinations,"A\nB"\n', MalformedHeader,
+     "line 3: expected an 'offsets,<integers...>' line"),
+    ('destinations,"A\nB",\noffsets,1,2\n', MalformedHeader,
+     "line 2: destination labels must be non-empty"),
 ], ids=["empty_destination_label", "decreasing_destination_offsets",
-        "first_destination_offset_zero", "repeated_source_offset"])
+        "first_destination_offset_zero", "repeated_source_offset", "blank_body_row",
+        "cell_after_two_line_header", "blank_row_after_two_line_record",
+        "offsets_after_two_line_header", "offsets_missing_after_two_line_header",
+        "empty_label_in_two_line_header"])
 def test_parse_header_and_offset_errors_name_their_line(text, error, message):
     with pytest.raises(error) as err:
         parse_build_matrix(text)
@@ -251,6 +267,15 @@ def test_parse_hidden_paths_errors(hospital_graph):
                                hospital_graph)
         assert err.value.line == 4
         assert str(err.value).endswith("first given on line 2")
+    # a quoted field that spans lines moves every later line
+    with pytest.raises(ParseError) as err:
+        parse_hidden_paths('from,to,true_weight\nCMC,MC,"10\n"\nNOPE,MC,1\n', hospital_graph)
+    assert str(err.value) == "line 4: no node labelled 'NOPE'"
+    with pytest.raises(ParseError) as err:
+        parse_hidden_paths('from,to,true_weight\nPC,SC,"3\n"\nCMC,MC,10\nMC,CMC,7\n',
+                           hospital_graph)
+    assert err.value.line == 5
+    assert str(err.value).endswith("first given on line 4")
 
 
 def test_build_graph_flags_malformed_node_definitions():

@@ -7,22 +7,24 @@ library API only (``build_hierarchy``).
 Exit codes: 0 success, 1 usage error, 2 parse or validation failure,
 3 query failure (unknown label or unreachable). A reader that closes
 stdout early (``| head``) ends the run with exit 0 and no message. JSON
-output is the machine format and is byte-identical for identical inputs;
-``--format table`` renders the same data for people.
+output is the machine format: exactly the text ``json.dumps(payload,
+indent=2)`` writes, plus a newline, byte-identical for identical inputs. A
+renderer per payload shape writes it straight from the engine's results,
+one top-level entry at a time; ``--format table`` renders the same results
+for people.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable, Iterable, Iterator
 
 from .dijkstra import path_to, shortest_paths
 from .dot import export_dot
@@ -34,11 +36,12 @@ from .errors import (
     UnknownSourceLabel,
     ValidationFailed,
 )
-from .graph import ConicGraph, NodeId, NodeKind
+from .graph import ConicGraph, NodeId, NodeKind, Violation
 from .invention import (
     DEFAULT_TOLERANCE,
     FitnessReport,
     HiddenPath,
+    InventedEdge,
     PolicyThreshold,
     fitness,
     invent_all,
@@ -89,21 +92,19 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
     policy = _policy(allowable)
     state = shortest_paths(graph, source.id)
 
+    # the search and the pair walk yield only ids of this graph: read them unchecked
+    nodes = graph._nodes
     # the drained search settled exactly the nodes with a finite label
     reachable = [
-        (state.dist[node.id], node.offset, node.id)
-        for node in map(graph.node, state.settled_order)
-        if node.kind is NodeKind.DESTINATION
+        (state.dist[node_id], nodes[node_id].offset, node_id)
+        for node_id in state.settled_order
+        if nodes[node_id].kind is NodeKind.DESTINATION
     ]
     best = None
     if reachable:
         _, _, best_id = min(reachable)
         path = path_to(state, best_id)
-        best = (
-            graph.node(best_id).label,
-            path.distance,
-            [graph.node(n).label for n in path.nodes],
-        )
+        best = (nodes[best_id].label, path.distance, [nodes[n].label for n in path.nodes])
 
     alternates: list[Alternate] = []
     if invent:
@@ -111,8 +112,8 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
         for edge in invent_for_source(graph, source.id, policy):
             path = by_pair.get(frozenset((edge.src, edge.dst)))
             alternates.append(Alternate(
-                src_label=graph.node(edge.src).label,
-                dst_label=graph.node(edge.dst).label,
+                src_label=nodes[edge.src].label,
+                dst_label=nodes[edge.dst].label,
                 weight=edge.weight,
                 pair_weights=edge.pair_weights,
                 fitness=None if path is None else fitness(edge, path, tolerance),
@@ -121,130 +122,161 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
 
 
 # --- rendering ---------------------------------------------------------------
+#
+# One renderer per payload shape, for each format. A renderer reads the
+# engine's results and yields its text one top-level entry at a time; its
+# JSON is exactly json.dumps(payload, indent=2) + "\n". Records come from
+# %-templates: strings through json's own C encoder, ints through %d, floats
+# through float.__repr__. An encoded string holds no raw newline, so a block
+# of JSON moves one level in by indenting every newline in it.
 
-def _fitness_payload(report: FitnessReport | None):
+_str = encode_basestring_ascii
+
+_PAIR = ('"from": %s,\n      "to": %s,\n      "weight": %d,\n'
+         '      "pair_weights": [\n        %d,\n        %d\n      ]')
+_INVENTION = '{\n      ' + _PAIR + '\n    }'
+_ALTERNATE = '{\n      ' + _PAIR + ',\n      "fitness": %s\n    }'
+_FITNESS = ('{\n        "invented_weight": %d,\n        "hidden_weight": %d,\n'
+            '        "absolute_error": %d,\n        "relative_error": %s,\n'
+            '        "fit": %s\n      }')
+_BEST = '{\n    "destination": %s,\n    "distance": %d,\n    "path": %s\n  }'
+_QUERY = '{\n  "source": %s,\n  "best": %s,\n  "invented_alternates": %s\n}'
+_NODE = '{\n      "id": %d,\n      "label": %s,\n      "kind": %s,\n      "offset": %d\n    }'
+_EDGE = '{\n      "from": %s,\n      "to": %s,\n      "weight": %d,\n      "provenance": %s\n    }'
+_VIOLATION = '{\n      "code": %s,\n      "detail": %s\n    }'
+
+
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items, on a line indented by ``pad``."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _top(brackets: str, entries: Iterable[str]) -> Iterator[str]:
+    """A top-level JSON array or object ("[]" or "{}") of encoded entries,
+    one chunk per entry."""
+    opened = False
+    for entry in entries:
+        yield (",\n  " if opened else brackets[0] + "\n  ") + entry
+        opened = True
+    yield ("\n" + brackets[1] if opened else brackets) + "\n"
+
+
+def _labels(graph: ConicGraph) -> list[str]:
+    """Every node's label as JSON, indexed by node id."""
+    return [_str(node.label) for node in graph.nodes]
+
+
+def _fitness_text(report: FitnessReport | None) -> str:
     if report is None:
-        return None
+        return "null"
     try:
-        relative_error = float(report.relative_error)
+        relative_error = repr(float(report.relative_error))
     except OverflowError:  # past the float range, which JSON cannot write
-        relative_error = None
-    return {
-        "invented_weight": report.invented_weight,
-        "hidden_weight": report.hidden_weight,
-        "absolute_error": report.absolute_error,
-        "relative_error": relative_error,
-        "fit": report.fit,
-    }
+        relative_error = "null"
+    return _FITNESS % (report.invented_weight, report.hidden_weight, report.absolute_error,
+                       relative_error, "true" if report.fit else "false")
 
 
-def _query_payload(result: QueryResult) -> dict:
-    best = None
+def _query_text(result: QueryResult) -> str:
+    best = "null"
     if result.best is not None:
         destination, distance, path = result.best
-        best = {"destination": destination, "distance": distance, "path": path}
-    return {
-        "source": result.source,
-        "best": best,
-        "invented_alternates": [
-            {
-                "from": a.src_label,
-                "to": a.dst_label,
-                "weight": a.weight,
-                "pair_weights": list(a.pair_weights),
-                "fitness": _fitness_payload(a.fitness),
-            }
-            for a in result.invented_alternates
-        ],
-    }
+        best = _BEST % (_str(destination), distance, _array(list(map(_str, path)), "    "))
+    alternates = [_ALTERNATE % (_str(a.src_label), _str(a.dst_label), a.weight,
+                                *a.pair_weights, _fitness_text(a.fitness))
+                  for a in result.invented_alternates]
+    return _QUERY % (_str(result.source), best, _array(alternates, "  "))
 
 
-def _query_table(payload: dict) -> str:
-    lines = [f"source: {payload['source']}"]
-    best = payload["best"]
-    if best is None:
+def _query_json(result: QueryResult) -> Iterator[str]:
+    yield _query_text(result) + "\n"
+
+
+def _queries_json(results: Iterable[QueryResult]) -> Iterator[str]:
+    return _top("[]", (_query_text(r).replace("\n", "\n  ") for r in results))
+
+
+def _query_lines(result: QueryResult) -> str:
+    lines = [f"source: {result.source}"]
+    if result.best is None:
         lines.append("best: (no reachable destination)")
     else:
-        lines.append(f"best: {best['destination']}  distance {best['distance']}"
-                     f"  via {' -> '.join(best['path'])}")
-    if payload["invented_alternates"]:
+        destination, distance, path = result.best
+        lines.append(f"best: {destination}  distance {distance}  via {' -> '.join(path)}")
+    if result.invented_alternates:
         lines.append("invented alternates:")
-        for a in payload["invented_alternates"]:
-            fit = "-" if a["fitness"] is None else ("fit" if a["fitness"]["fit"] else "unfit")
-            lines.append(f"  {a['from']} -> {a['to']}  weight {a['weight']}  {fit}")
+        for a in result.invented_alternates:
+            fit = "-" if a.fitness is None else ("fit" if a.fitness.fit else "unfit")
+            lines.append(f"  {a.src_label} -> {a.dst_label}  weight {a.weight}  {fit}")
     else:
         lines.append("invented alternates: none")
     return "\n".join(lines) + "\n"
 
 
-def _graph_payload(graph: ConicGraph) -> dict:
-    return {
-        "nodes": [
-            {"id": n.id, "label": n.label, "kind": n.kind.value, "offset": n.offset}
-            for n in graph.nodes
-        ],
-        "edges": [
-            {
-                "from": graph.node(e.src).label,
-                "to": graph.node(e.dst).label,
-                "weight": e.weight,
-                "provenance": e.provenance.value,
-            }
-            for e in graph.edges
-        ],
-    }
+def _query_table(result: QueryResult) -> Iterator[str]:
+    yield _query_lines(result)
 
 
-def _graph_table(payload: dict) -> str:
-    return "".join(
-        [f"node {n['label']}  {n['kind']}  offset {n['offset']}\n" for n in payload["nodes"]]
-        + [f"edge {e['from']} -> {e['to']}  weight {e['weight']}\n" for e in payload["edges"]]
-    )
+def _queries_table(results: Iterable[QueryResult]) -> Iterator[str]:
+    lead = ""
+    for result in results:
+        yield lead + _query_lines(result)
+        lead = "\n"
 
 
-def _violations_table(payload: dict) -> str:
-    return "".join(f"{v['code']}: {v['detail']}\n" for v in payload["violations"]) or "valid\n"
+def _graph_json(graph: ConicGraph) -> Iterator[str]:
+    labels = _labels(graph)
+    yield '{\n  "nodes": ' + _array([_NODE % (n.id, labels[n.id], _str(n.kind.value), n.offset)
+                                     for n in graph.nodes], "  ")
+    yield ',\n  "edges": ' + _array([_EDGE % (labels[e.src], labels[e.dst], e.weight,
+                                              _str(e.provenance.value))
+                                     for e in graph.edges], "  ") + "\n}\n"
 
 
-def _invent_payload(graph: ConicGraph, inventions) -> dict:
-    return {
-        graph.node(source).label: [
-            {
-                "from": graph.node(e.src).label,
-                "to": graph.node(e.dst).label,
-                "weight": e.weight,
-                "pair_weights": list(e.pair_weights),
-            }
-            for e in edges
-        ]
+def _graph_table(graph: ConicGraph) -> Iterator[str]:
+    nodes = graph.nodes
+    yield "".join(f"node {n.label}  {n.kind.value}  offset {n.offset}\n" for n in nodes)
+    yield "".join(f"edge {nodes[e.src].label} -> {nodes[e.dst].label}  weight {e.weight}\n"
+                  for e in graph.edges)
+
+
+def _violations_json(violations: list[Violation]) -> Iterator[str]:
+    yield '{\n  "violations": ' + _array(
+        [_VIOLATION % (_str(v.code), _str(v.detail)) for v in violations], "  ") + "\n}\n"
+
+
+def _violations_table(violations: list[Violation]) -> Iterator[str]:
+    yield "".join(f"{v.code}: {v.detail}\n" for v in violations) or "valid\n"
+
+
+def _invent_json(graph: ConicGraph, inventions: dict[NodeId, list[InventedEdge]]
+                 ) -> Iterator[str]:
+    labels = _labels(graph)
+    return _top("{}", (
+        labels[source] + ": " + _array([_INVENTION % (labels[e.src], labels[e.dst], e.weight,
+                                                      *e.pair_weights) for e in edges], "  ")
         for source, edges in inventions.items()
-    }
+    ))
 
 
-def _invent_table(payload: dict) -> str:
-    return "".join(
-        f"{source}: "
-        + (", ".join(f"{e['from']}->{e['to']} ({e['weight']})" for e in edges) or "none")
-        + "\n"
-        for source, edges in payload.items()
-    )
+def _invent_table(graph: ConicGraph, inventions: dict[NodeId, list[InventedEdge]]
+                  ) -> Iterator[str]:
+    nodes = graph.nodes
+    for source, edges in inventions.items():
+        yield (f"{nodes[source].label}: "
+               + (", ".join(f"{nodes[e.src].label}->{nodes[e.dst].label} ({e.weight})"
+                            for e in edges) or "none")
+               + "\n")
 
 
-_JSON_BATCH = 65536  # encoder chunks per write
-
-
-def _emit(args, payload, table: Callable[[Any], str]) -> None:
-    """Write the payload as JSON, or as the text ``table`` renders from it."""
-    if args.format == "json":
-        # streamed in batches: the whole text is never held as one string,
-        # and an unbuffered stdout (PYTHONUNBUFFERED) gets a few large writes
-        # rather than one per encoder chunk
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
-        while batch := "".join(islice(chunks, _JSON_BATCH)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(table(payload))
+def _emit(args, render_json: Callable[..., Iterable[str]],
+          render_table: Callable[..., Iterable[str]], *results) -> None:
+    """Write the results as the ``--format`` renderer yields them, a chunk at a time."""
+    write = sys.stdout.write
+    for chunk in (render_json if args.format == "json" else render_table)(*results):
+        write(chunk)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -273,14 +305,13 @@ def _policy(allowable: "int | None") -> "PolicyThreshold | None":
 
 
 def _build(args) -> int:
-    _emit(args, _graph_payload(_load_graph(args.matrix)), _graph_table)
+    _emit(args, _graph_json, _graph_table, _load_graph(args.matrix))
     return OK
 
 
 def _validate(args) -> int:
     _, violations = build_graph(parse_build_matrix(_read(args.matrix)))
-    _emit(args, {"violations": [{"code": v.code, "detail": v.detail} for v in violations]},
-          _violations_table)
+    _emit(args, _violations_json, _violations_table, violations)
     return PARSE_ERROR if violations else OK
 
 
@@ -295,20 +326,20 @@ def _query(args) -> int:
                          tolerance=args.tolerance, allowable=args.allowable)
 
     if args.all_sources:
-        payload = [_query_payload(query(node.label))
-                   for node in sorted(graph.sources(), key=lambda n: n.offset)]
-        _emit(args, payload, lambda results: "\n".join(map(_query_table, results)))
+        # each result is rendered and written before the next query runs
+        labels = [node.label for node in sorted(graph.sources(), key=lambda n: n.offset)]
+        _emit(args, _queries_json, _queries_table, map(query, labels))
         return OK
     result = query(args.source)
     if result.best is None:
         raise Unreachable(f"source {args.source!r} reaches no destination")
-    _emit(args, _query_payload(result), _query_table)
+    _emit(args, _query_json, _query_table, result)
     return OK
 
 
 def _invent(args) -> int:
     graph = _load_graph(args.matrix)
-    _emit(args, _invent_payload(graph, invent_all(graph, _policy(args.allowable))), _invent_table)
+    _emit(args, _invent_json, _invent_table, graph, invent_all(graph, _policy(args.allowable)))
     return OK
 
 

@@ -8,8 +8,9 @@ File layout (UTF-8, comma-separated, LF):
     ...
 
 Destination offsets are positive and strictly increasing; an empty cell
-means "no edge". Hidden paths travel in their own CSV with the header
-``from,to,true_weight``, one row per unordered pair of distinct destinations.
+means "no edge". Every number in a file is ASCII ``-?[0-9]+``. Hidden paths
+travel in their own CSV with the header ``from,to,true_weight``, one row
+per unordered pair of distinct destinations.
 """
 
 from __future__ import annotations
@@ -47,10 +48,13 @@ class BuildMatrix:
 
 
 def _int_cell(token: str, line: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise NonIntegerCell(line, f"{what} {token!r} is not an integer") from None
+    """The one grammar of every number in a file: ASCII ``-?[0-9]+``."""
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise NonIntegerCell(line, f"{what} {token!r} is not an integer")
 
 
 def _check_increasing(prev: int, cur: int, line: int, what: str) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import io
 import json
 import os
@@ -175,6 +176,20 @@ def test_build_bad_matrix_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "build", str(bad))
     assert code == 2
     assert "NonPositiveWeight" in err
+
+
+@pytest.mark.parametrize("text", [
+    "destinations,A,B\noffsets,1,2\nS,0,1_0, \u0663\n",
+    "destinations,A,B\noffsets,+1,2\nS,0,+5,007\n",
+], ids=["underscore_and_arabic_digit", "plus_signs"])
+def test_number_outside_ascii_digits_exits_2_with_one_line(tmp_path, capsys, text):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "build", str(matrix))
+    assert (code, out) == (2, "")
+    assert err.startswith("conicroute: line 3: cell '1_0'" if "_" in text
+                          else "conicroute: line 2: offset '+1'")
+    assert err.count("\n") == 1
 
 
 def test_parse_error_names_line_and_exits_2(tmp_path, capsys):
@@ -458,8 +473,9 @@ def test_json_is_byte_identical_across_hash_seeds(tmp_path, command, files):
     assert first.startswith((b"[", b"{")) and first == _child_stdout(argv, "2")
 
 
-@pytest.mark.parametrize("argv", [["query", MATRIX, "--all-sources"], ["export", MATRIX]],
-                         ids=["query_all_sources", "export"])
+@pytest.mark.parametrize("argv", [["query", MATRIX, "--all-sources"], ["export", MATRIX],
+                                  ["invent", MATRIX], ["build", MATRIX]],
+                         ids=["query_all_sources", "export", "invent", "build"])
 def test_stdout_closed_by_its_reader_exits_0_quietly(argv):
     # the read end is closed before the child starts, so every write it
     # makes to stdout fails, whatever the output's size or buffering
@@ -475,3 +491,92 @@ def test_stdout_closed_by_its_reader_exits_0_quietly(argv):
         os.close(write_end)
     assert child.returncode == 0
     assert child.stderr == b""
+
+
+# --- output pinned by digest ------------------------------------------------------
+
+# sha256 of (exit code, stdout, stderr) for each case; stdout and stderr as the
+# UTF-8 bytes the CLI writes. Recorded from the dict-and-JSONEncoder rendering
+# that the per-shape renderers replaced, so any byte they change shows here.
+_PINNED = {
+    "bad-validate-json": "59113bb4cf290df3886a118b3b653c6dbe35204efc6d909a88a38e436d415cac",
+    "bad-validate-table": "cf2a07e2653b0697c3b7202426b35793e447216ce27119e5c3d200729b8aa70b",
+    "fixture-build-json": "a970af22e607219c13603a0ceb1a970b53192152310b8bba3756fa400c510334",
+    "fixture-build-table": "98d314b8af25bc62cdb8f7d52d1f3ee69aed72790a42203d35d29e77105823a5",
+    "fixture-export_invent": "40d19fac1449e672ef989913a4167fb48fe27c816447f7e3828a6748696312b6",
+    "fixture-invent-json": "9b868c8be72a90300f00a9df2f0ae180328b692f1e683177b1a8ca729b58dfd5",
+    "fixture-invent-table": "7c475af8e061fb1430481c4fb28cb4b74d369f513ef5f7ba96dfa61126dcbf8f",
+    "fixture-query_all_sources_hidden-json": "87a9823f4985b92696c118504470e3939bb435f8e01a22e33ae71fff491706ed",
+    "fixture-query_all_sources_hidden-table": "dcd5e799d68141b7983bba19143383e81618788643f59b327813af71b243de72",
+    "fixture-query_source-json": "7d81eb08956e91bdd31e3d8bc8f8f76ccd4e4d9fe98011cfbed0cfecf9db97a9",
+    "fixture-query_source-table": "f695c5247300701d64f52a5e9d372ace95cf631439fcac9a9715ff1aaa468158",
+    "fixture-validate-json": "5c134c055c06b63ad4592ad9e8e22fe3bc18785dcb998f69ba6e4dd0d3d67f83",
+    "fixture-validate-table": "6308f38916b9f54549deccb0f7000af476dac672707e2c167f499903e9b67023",
+    "generated-build-json": "259156c2f43f85f4509d8c4254f6ce03946b9c07921693eda2185abd270aaf09",
+    "generated-build-table": "98441702ffbcee07532c16457403f5baacefa9a538066465179901679d92d996",
+    "generated-export_invent": "c083df8b7d7ebea6f8ec8390e69f1d715f7773f091b925925eca039c83ffa094",
+    "generated-invent-json": "f83d10a1476d7cb16a2b1a4763e108b61caa5718e117f7912aa6f9297e14ae37",
+    "generated-invent-table": "a8b45e22928d54d20baecb98c154d0cfb61c6d5c5e8bc111a7dfbb8649a7f037",
+    "generated-query_all_sources_hidden-json": "ecf20646ae73159e0242e49fbff966d507ab82f52da46a2043309c4112bff66a",
+    "generated-query_all_sources_hidden-table": "096fd071f3aadca5f6b3e56a2796806e5916f8c9aec813b7c93c4dcf5d166421",
+    "generated-query_source-json": "53108bd01c5293e14f505f97d4182894c52bcf14bd6532f8ddf1134c6018ee22",
+    "generated-query_source-table": "1c59ba505774823a9a90b5a14ab24b1c27fdf3a8ab01c7d80898d137cce31172",
+    "generated-validate-json": "5c134c055c06b63ad4592ad9e8e22fe3bc18785dcb998f69ba6e4dd0d3d67f83",
+    "generated-validate-table": "6308f38916b9f54549deccb0f7000af476dac672707e2c167f499903e9b67023",
+    "overflow-query_hidden-json": "0ad7daf6e8c1efff7bb5d367143e7c2af03b05f6bf396b72d4452c9fe38b4499",
+    "overflow-query_hidden-table": "4fb715822356f7aa0afbc9fcc1f3765745ef5a43598122787aec0f6b984fb600",
+    "quiet-invent-json": "d3628caa3b0283765cbc0d75215ea8825476aaa93e80e9bb78f034baa14d47c0",
+    "quiet-invent-table": "242fd60a60bb4c71e248820a628ef4fb9389b67af1412477376adb487fad3ee9",
+    "quiet-query_all_sources-json": "4f5eb2f681d12d9d6210670e7c954406f7819a8eeaea8747e9ea501336dee458",
+    "quiet-query_all_sources-table": "2df847eb68e90b8a3a12cee682747c7af0f4b4d79e3a250a05a3bdd15c6239a1",
+}
+
+_QUIET = "destinations,A,B\noffsets,1,2\nS1,0,10,20\nS2,1,,5\n"  # S2 invents nothing
+_OVERFLOW = "destinations,A,B\noffsets,1,2\ns,0,1,1" + "0" * 400 + "\n"
+_BAD = "destinations,A,B\noffsets,1,2\nS1,0,5,5\n"
+
+
+def _pinned_cases() -> dict[str, list[str]]:
+    cases = {}
+    for files, source in (("fixture", "Rumuomasi"), ("generated", "S0")):
+        for fmt in ("json", "table"):
+            for name, argv in (
+                ("build", ["build", "{matrix}"]),
+                ("validate", ["validate", "{matrix}"]),
+                ("query_source", ["query", "{matrix}", "--source", source]),
+                ("query_all_sources_hidden",
+                 ["query", "{matrix}", "--all-sources", "--hidden", "{hidden}"]),
+                ("invent", ["invent", "{matrix}"]),
+            ):
+                cases[f"{files}-{name}-{fmt}"] = [*argv, "--format", fmt]
+        cases[f"{files}-export_invent"] = ["export", "{matrix}", "--invent"]
+    for fmt in ("json", "table"):
+        cases[f"overflow-query_hidden-{fmt}"] = [
+            "query", "{overflow}", "--source", "s", "--hidden", "{overflow_hidden}",
+            "--format", fmt]
+        cases[f"quiet-invent-{fmt}"] = ["invent", "{quiet}", "--format", fmt]
+        cases[f"quiet-query_all_sources-{fmt}"] = [
+            "query", "{quiet}", "--all-sources", "--format", fmt]
+        cases[f"bad-validate-{fmt}"] = ["validate", "{bad}", "--format", fmt]
+    return cases
+
+
+def _pinned_digest(tmp_path: Path, case: str) -> str:
+    files = {"fixture": (MATRIX, HIDDEN), "generated": _generated_files(tmp_path)}
+    matrix, hidden = files.get(case.split("-")[0], (None, None))
+    paths = {"matrix": matrix, "hidden": hidden}
+    for name, text in (("overflow", _OVERFLOW), ("overflow_hidden", "from,to,true_weight\nA,B,1\n"),
+                       ("quiet", _QUIET), ("bad", _BAD)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        paths[name] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in _pinned_cases()[case]])
+    record = b"%d\0%s\0%s" % (code, out.getvalue().encode(), err.getvalue().encode())
+    return hashlib.sha256(record).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_pinned_cases()))
+def test_output_matches_its_pinned_digest(tmp_path, case):
+    assert _pinned_digest(tmp_path, case) == _PINNED[case]

@@ -79,6 +79,34 @@ def test_parse_non_integer_cell():
     assert err.value.line == 3
 
 
+# every number of a file is ASCII -?[0-9]+; int() alone would take each of these
+_NOT_ASCII_DIGITS = ["1_0", " 3", "3 ", "+5", "\u0663", "\uff15", "--1", "-", "1.0", "1e3",
+                     "0x1F", "\u00b2"]
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_DIGITS)
+@pytest.mark.parametrize("field", ["cell", "source offset", "offset", "true_weight"])
+def test_a_number_outside_ascii_digits_is_a_non_integer_cell(hospital_graph, field, token):
+    if field == "true_weight":
+        parse, line = (lambda text: parse_hidden_paths(text, hospital_graph)), 2
+        text = f"from,to,true_weight\nCMC,MC,{token}\n"
+    else:
+        parse = parse_build_matrix
+        line = {"cell": 3, "source offset": 3, "offset": 2}[field]
+        text = {"cell": f"destinations,A\noffsets,1\nS1,0,{token}\n",
+                "source offset": f"destinations,A\noffsets,1\nS1,{token},10\n",
+                "offset": f"destinations,A\noffsets,{token}\n"}[field]
+    with pytest.raises(NonIntegerCell) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}: {field} {token!r} is not an integer"
+
+
+def test_ascii_digits_with_a_leading_minus_or_zeros_are_integers():
+    matrix = parse_build_matrix("destinations,A,B\noffsets,1,02\nS1,-0,007,-3\n")
+    assert matrix.destination_offsets == (1, 2)
+    assert matrix.rows == (MatrixRow("S1", 0, (7, -3)),)
+
+
 def test_parse_duplicate_destination_offset():
     with pytest.raises(DuplicateOffset) as err:
         parse_build_matrix("destinations,A,B\noffsets,1,1\n")
@@ -267,13 +295,15 @@ def test_parse_hidden_paths_errors(hospital_graph):
                                hospital_graph)
         assert err.value.line == 4
         assert str(err.value).endswith("first given on line 2")
-    # a quoted field that spans lines moves every later line
+    # a quoted field that spans lines moves every later line; a number holds
+    # no newline, so the field is a label
+    spanning = to_graph(parse_build_matrix('destinations,"C\nMC",MC,PC\noffsets,1,2,3\n'))
     with pytest.raises(ParseError) as err:
-        parse_hidden_paths('from,to,true_weight\nCMC,MC,"10\n"\nNOPE,MC,1\n', hospital_graph)
+        parse_hidden_paths('from,to,true_weight\n"C\nMC",MC,10\nNOPE,MC,1\n', spanning)
     assert str(err.value) == "line 4: no node labelled 'NOPE'"
     with pytest.raises(ParseError) as err:
-        parse_hidden_paths('from,to,true_weight\nPC,SC,"3\n"\nCMC,MC,10\nMC,CMC,7\n',
-                           hospital_graph)
+        parse_hidden_paths('from,to,true_weight\n"C\nMC",PC,3\nMC,PC,10\nPC,MC,7\n',
+                           spanning)
     assert err.value.line == 5
     assert str(err.value).endswith("first given on line 4")
 

@@ -30,6 +30,7 @@ from .dijkstra import path_to, shortest_paths
 from .dot import export_dot
 from .errors import (
     ConicRouteError,
+    NonIntegerCell,
     ParseError,
     Unreachable,
     UnknownNode,
@@ -47,7 +48,7 @@ from .invention import (
     invent_all,
     invent_for_source,
 )
-from .matrix_io import build_graph, parse_build_matrix, parse_hidden_paths, to_graph
+from .matrix_io import _int_cell, build_graph, parse_build_matrix, parse_hidden_paths, to_graph
 
 OK = 0
 USAGE_ERROR = 1
@@ -77,7 +78,7 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
               invent: bool = True,
               hidden: "dict[frozenset[NodeId], HiddenPath] | None" = None,
               tolerance: "Fraction | float | str" = DEFAULT_TOLERANCE,
-              allowable: "int | None" = None) -> QueryResult:
+              policy: "PolicyThreshold | None" = None) -> QueryResult:
     """Dijkstra plus invention for one source of a frozen graph.
 
     ``hidden`` maps an unordered destination pair to its hidden path, as
@@ -89,7 +90,6 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
         raise UnknownSourceLabel(f"no source labelled {source_label!r}") from None
     if source.kind is not NodeKind.SOURCE:
         raise UnknownSourceLabel(f"{source_label!r} is a destination, not a source")
-    policy = _policy(allowable)
     state = shortest_paths(graph, source.id)
 
     # the search and the pair walk yield only ids of this graph: read them unchecked
@@ -300,10 +300,6 @@ def _load_graph(path: Path) -> ConicGraph:
     return to_graph(parse_build_matrix(_read(path)))
 
 
-def _policy(allowable: "int | None") -> "PolicyThreshold | None":
-    return PolicyThreshold(allowable) if allowable is not None else None
-
-
 def _build(args) -> int:
     _emit(args, _graph_json, _graph_table, _load_graph(args.matrix))
     return OK
@@ -323,7 +319,7 @@ def _query(args) -> int:
 
     def query(label: str) -> QueryResult:
         return cmd_query(graph, label, invent=not args.no_invent, hidden=hidden,
-                         tolerance=args.tolerance, allowable=args.allowable)
+                         tolerance=args.tolerance, policy=args.allowable)
 
     if args.all_sources:
         # each result is rendered and written before the next query runs
@@ -339,7 +335,7 @@ def _query(args) -> int:
 
 def _invent(args) -> int:
     graph = _load_graph(args.matrix)
-    _emit(args, _invent_json, _invent_table, graph, invent_all(graph, _policy(args.allowable)))
+    _emit(args, _invent_json, _invent_table, graph, invent_all(graph, args.allowable))
     return OK
 
 
@@ -347,7 +343,7 @@ def _export(args) -> int:
     graph = _load_graph(args.matrix)
     invented = None
     if args.with_invented:
-        by_source = invent_all(graph, _policy(args.allowable))
+        by_source = invent_all(graph, args.allowable)
         invented = [e for group in by_source.values() for e in group]
     sys.stdout.write(export_dot(graph, invented=invented))
     return OK
@@ -382,14 +378,14 @@ def _tolerance(text: str) -> Fraction:
     return value
 
 
-def _allowable(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("allowable must be positive")
-    return value
+def _allowable(text: str) -> PolicyThreshold:
+    """The cap, read by the file grammar and checked by PolicyThreshold itself."""
+    try:  # a flag has no file line: the grammar's message is replaced below
+        return PolicyThreshold(_int_cell(text, 0, "allowable"))
+    except NonIntegerCell:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # flags shared by several subcommands; each subcommand takes the ones it reads

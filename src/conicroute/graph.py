@@ -10,17 +10,17 @@ Every node holds a topological rank for as long as the graph lives
 2006): a new node takes the next rank, so an edge that runs forward in
 rank is accepted in O(1). Only an edge against the rank order is searched,
 and only within the rank window between its endpoints; it either closes a
-cycle or reorders the nodes of that window. add_edge and extend() both
-accept an edge by this rule.
+cycle or reorders the nodes of that window. add_edge and extend() share
+the one step that accepts an edge by this rule, _accept().
 
 A graph is immutable after freeze(), which drops the state only add_node
-and add_edge read and turns each node's out-edge list into a tuple sorted by
-target offset. A query holds no per-node state of the graph's size: it
-stores labels for the nodes it reaches only, so it costs its source's
-fan-out rather than the node count. Derived edges (shortcuts from
-contraction, invented edges) never mutate a frozen graph in place:
-extend() returns the graph itself for no edges, else a new frozen graph
-with its own ranks sharing the base's nodes and untouched adjacency tuples.
+and add_edge read; it and extend() share _seal(), which turns each out-edge
+list into a tuple sorted by target offset. A query stores labels for the
+nodes it reaches only, so it costs its source's fan-out, not the node count.
+Derived edges (shortcuts from contraction, invented edges) never mutate a
+frozen graph in place: extend() returns the graph itself for no edges, else
+a new frozen graph with its own ranks sharing the base's nodes and
+untouched adjacency tuples.
 """
 
 from __future__ import annotations
@@ -134,24 +134,17 @@ class ConicGraph:
             raise EqualAdjacentWeight(
                 f"source {self._nodes[src].label!r} already has an edge of weight {weight}"
             )
-        if self._rank[src] > self._rank[dst]:
-            self._reorder(src, dst)
-        edge = Edge(src, dst, weight, Provenance.ORIGINAL)
-        self._edges.append(edge)
-        self._out[src].append(edge)
+        self._accept(Edge(src, dst, weight, Provenance.ORIGINAL))
         self._out_weights[src].add(weight)
-        self._preds[dst].append(src)
         return len(self._edges) - 1
 
     def freeze(self) -> "ConicGraph":
         """Sort adjacency by target offset and seal the graph. Idempotent."""
         if not self._frozen:
             # drop the state only add_node and add_edge read; the ranks and
-            # predecessors stay, as extend() accepts edges by add_edge's rank rule
+            # predecessors stay, as extend() accepts edges by the same step
             del self._by_offset, self._out_weights
-            # a stable sort, so parallel edges keep the order they were added in
-            key = self._offset_key
-            self._out = [tuple(sorted(edges, key=key)) if edges else () for edges in self._out]
+            self._seal()
             self._frozen = True
         return self
 
@@ -161,8 +154,8 @@ class ConicGraph:
         The base graph is left untouched, and a frozen graph never changes,
         so with no derived edges it is returned as is. Only SHORTCUT and
         INVENTED edges are taken; all are checked first, then each is
-        accepted by add_edge's rank rule, so the combined edge set stays
-        acyclic. Otherwise the copy shares every adjacency tuple it adds
+        accepted by add_edge's acceptance step, so the combined edge set
+        stays acyclic. Otherwise the copy shares every adjacency tuple it adds
         nothing to and costs O(V) list copies plus its derived edges; a
         contraction shortcut is always forward in rank.
         """
@@ -176,24 +169,17 @@ class ConicGraph:
         # built field by field: copy.copy reads self.__dict__, which would move
         # this graph's attributes into a dict that slows every later query
         g = ConicGraph.__new__(ConicGraph)
-        g._nodes, g._by_label = self._nodes, self._by_label
-        g._edges, g._frozen = self._edges + list(derived), True
-        out = g._out = list(self._out)
-        rank, preds = g._rank, g._preds = list(self._rank), self._preds.copy()
+        g._nodes, g._by_label, g._rank = self._nodes, self._by_label, list(self._rank)
+        g._edges, g._frozen = list(self._edges), True
+        out, preds = g._out, g._preds = list(self._out), self._preds.copy()
         # the copy's own lists for the nodes that gain an edge: the base's stay as they are
-        sources = {edge.src for edge in derived}
-        for src in sources:
+        for src in {edge.src for edge in derived}:
             out[src] = list(out[src])
         for dst in {edge.dst for edge in derived}:
             preds[dst] = list(preds.get(dst, ()))
         for edge in derived:
-            if rank[edge.src] > rank[edge.dst]:
-                g._reorder(edge.src, edge.dst)
-            out[edge.src].append(edge)
-            preds[edge.dst].append(edge.src)
-        for src in sources:
-            # a stable sort, so a derived edge follows the parallel edge it copies
-            out[src] = tuple(sorted(out[src], key=self._offset_key))
+            g._accept(edge)
+        g._seal()
         return g
 
     # --- queries ------------------------------------------------------------
@@ -248,6 +234,21 @@ class ConicGraph:
 
     def _offset_key(self, edge: Edge) -> tuple[int, int]:
         return (self._nodes[edge.dst].offset, edge.dst)
+
+    def _accept(self, edge: Edge) -> None:
+        """Place a checked edge by the rank rule, then record it."""
+        src, dst = edge.src, edge.dst
+        if self._rank[src] > self._rank[dst]:
+            self._reorder(src, dst)
+        self._edges.append(edge)
+        self._out[src].append(edge)
+        self._preds[dst].append(src)
+
+    def _seal(self) -> None:
+        """Sort each out-edge list into a tuple, stably: parallel edges keep their order."""
+        key = self._offset_key
+        self._out = [edges if type(edges) is tuple else
+                     tuple(sorted(edges, key=key)) if edges else () for edges in self._out]
 
     def _check_node(self, node_id: NodeId) -> None:
         # exactly int: a bool, float or str must not index the node lists

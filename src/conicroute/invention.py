@@ -53,6 +53,10 @@ class HiddenPath:
     dst: NodeId
     true_weight: int
 
+    def __post_init__(self) -> None:
+        if type(self.true_weight) is not int or self.true_weight <= 0:
+            raise ValueError(f"true_weight must be positive, got {self.true_weight!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class FitnessReport:
@@ -90,9 +94,7 @@ def triangle_bounds(z1: int, z2: int) -> tuple[int, int]:
     upper = z1 + z2, lower = |z1 - z2|. Every invention weighs exactly the
     lower bound.
     """
-    if z1 <= 0 or z2 <= 0:
-        raise NonPositiveWeight(f"weights must be > 0, got ({z1}, {z2})")
-    return z1 + z2, abs(z1 - z2)
+    return z1 + z2, absolute_edge_difference(z1, z2)
 
 
 def invent_for_source(graph: ConicGraph, source: NodeId,
@@ -107,8 +109,8 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
     if node.kind is not NodeKind.SOURCE:
         raise NotASource(f"node {node.label!r} is a {node.kind.value}")
     invented: list[InventedEdge] = []
-    originals = [e for e in graph.out_edges(source)
-                 if e.provenance is Provenance.ORIGINAL]
+    # frozen and node are checked above: read the adjacency unchecked
+    originals = [e for e in graph._out[source] if e.provenance is Provenance.ORIGINAL]
     for first, second in pairwise(originals):
         weight = absolute_edge_difference(first.weight, second.weight)
         if policy is not None and not policy.admits(weight):

@@ -231,8 +231,9 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
             raise ParseError(line, f"duplicate hidden path {src.label!r}-{dst.label!r}, "
                                    f"first given on line {first_line[pair]}")
         weight = _int_cell(record[2], line, "true_weight")
-        if weight <= 0:
-            raise ParseError(line, f"true_weight must be positive, got {weight}")
-        paths[pair] = HiddenPath(src=src.id, dst=dst.id, true_weight=weight)
+        try:
+            paths[pair] = HiddenPath(src=src.id, dst=dst.id, true_weight=weight)
+        except ValueError as exc:
+            raise ParseError(line, str(exc)) from None
         first_line[pair] = line
     return paths

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import hashlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conicroute
@@ -189,6 +191,61 @@ def test_number_outside_ascii_digits_exits_2_with_one_line(tmp_path, capsys, tex
     assert (code, out) == (2, "")
     assert err.startswith("conicroute: line 3: cell '1_0'" if "_" in text
                           else "conicroute: line 2: offset '+1'")
+    assert err.count("\n") == 1
+
+
+def _captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# any text outside the grammar of a number, -?[0-9]+ in ASCII, often made
+# of the digits, signs, spaces and marks int() reads; the last example has
+# more digits than int() converts
+_NEAR_NUMBERS = st.lists(st.sampled_from([*"0123456789--+_ .e\t", "\u0663", "\uff15", "\u00b2"]),
+                         max_size=6).map("".join)
+_OUTSIDE_GRAMMAR = (st.text() | _NEAR_NUMBERS).filter(
+    lambda text: not re.fullmatch(r"-?[0-9]+", text))
+_PAST_INT_LIMIT = "9" * 4301
+
+
+@settings(max_examples=150)
+@given(field=st.sampled_from(["cell", "source offset", "offset", "true_weight"]),
+       token=_OUTSIDE_GRAMMAR)
+@example(field="cell", token=_PAST_INT_LIMIT)
+@example(field="source offset", token=_PAST_INT_LIMIT)
+@example(field="offset", token=_PAST_INT_LIMIT)
+@example(field="true_weight", token=_PAST_INT_LIMIT)
+def test_a_number_outside_the_grammar_exits_2_with_one_line(tmp_path_factory, field, token):
+    assume(token or field != "cell")  # an empty cell is no edge
+    rows = {"cell": [["destinations", "A", "B"], ["offsets", 1, 2], ["S", 0, 10, token]],
+            "source offset": [["destinations", "A", "B"], ["offsets", 1, 2], ["S", token, 10, 20]],
+            "offset": [["destinations", "A", "B"], ["offsets", 1, token], ["S", 0, 10, 20]],
+            "true_weight": [["destinations", "A", "B"], ["offsets", 1, 2], ["S", 0, 10, 20]]}
+    base = tmp_path_factory.getbasetemp()
+    files = {"matrix": rows[field], "hidden": [["from", "to", "true_weight"], ["A", "B", token]]}
+    for name, records in files.items():
+        text = io.StringIO()
+        # every field quoted, so the token is one whole field whatever it holds
+        csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(records)
+        (base / f"grammar_{name}.csv").write_text(text.getvalue(), encoding="utf-8")
+    code, out, err = _captured(["query", str(base / "grammar_matrix.csv"), "--all-sources",
+                                "--hidden", str(base / "grammar_hidden.csv")])
+    assert (code, out) == (2, "")
+    assert err.startswith("conicroute: line ") and err.count("\n") == 1
+
+
+@settings(max_examples=150)
+@given(_OUTSIDE_GRAMMAR)
+@example("\u0663" "00")
+@example(" 1_00")
+@example(_PAST_INT_LIMIT)
+def test_an_allowable_outside_the_grammar_exits_1_with_one_line(token):
+    code, out, err = _captured(["invent", MATRIX, f"--allowable={token}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("conicroute invent: error: argument --allowable: not an integer: ")
     assert err.count("\n") == 1
 
 

@@ -290,6 +290,60 @@ def test_extend_refuses_exactly_the_cycle_closing_batches(stream):
     assert _ranked_state(first) == first_state
 
 
+@st.composite
+def _split_edge_lists(draw):
+    """Node offsets in a drawn order and one edge list with distinct weights,
+    split into a base part and a derived part. Edges run either way in node
+    id, so a derived edge may run against rank, close a cycle or be a
+    self-loop."""
+    n = draw(st.integers(2, 8))
+    offsets = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=24))
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=len(pairs),
+                            max_size=len(pairs), unique=True))
+    edges = [(src, dst, weight) for (src, dst), weight in zip(pairs, weights)]
+    cut = draw(st.integers(0, len(edges)))
+    return offsets, edges[:cut], edges[cut:]
+
+
+@settings(max_examples=400)
+@given(_split_edge_lists())
+def test_extend_accepts_edges_as_add_edge_does(split):
+    """base.extend(derived) refuses exactly what adding the same edges by
+    add_edge refuses, and otherwise orders every adjacency the same way."""
+    offsets, base_edges, derived_edges = split
+
+    def empty() -> ConicGraph:
+        g = ConicGraph()
+        for node, offset in enumerate(offsets):
+            g.add_node(f"n{node}", NodeKind.DESTINATION, offset)
+        return g
+
+    base, whole = empty(), empty()
+    for src, dst, weight in base_edges:
+        try:
+            base.add_edge(src, dst, weight)
+        except CycleCreated:  # the base stays a DAG
+            continue
+        whole.add_edge(src, dst, weight)
+    derived = [Edge(src, dst, weight, Provenance.INVENTED) for src, dst, weight in derived_edges]
+    base.freeze()
+    try:
+        for src, dst, weight in derived_edges:
+            whole.add_edge(src, dst, weight)
+    except CycleCreated:
+        with pytest.raises(CycleCreated):
+            base.extend(derived)
+        return
+    extended, whole = base.extend(derived), whole.freeze()
+    for node in range(len(offsets)):
+        assert ([(e.dst, e.weight) for e in extended.out_edges(node)]
+                == [(e.dst, e.weight) for e in whole.out_edges(node)])
+    assert sorted(extended._rank) == list(range(len(offsets)))
+    assert all(extended._rank[e.src] < extended._rank[e.dst] for e in extended.edges)
+
+
 # a few bad values among the good ones: a call drawn from these is refused
 # for an unknown id, a repeated label, (kind, offset) or source weight, a
 # self-loop or a cycle as well

@@ -225,6 +225,14 @@ def test_fitness_poor_match():
     assert report.fit is False
 
 
+@pytest.mark.parametrize("weight", [0, -5, True], ids=["zero", "negative", "bool"])
+def test_hidden_path_refuses_a_weight_that_is_not_a_positive_int(weight):
+    # fitness divides by the weight: 0 would raise, -5 would grade as fit
+    with pytest.raises(ValueError) as err:
+        HiddenPath(src=1, dst=2, true_weight=weight)
+    assert str(err.value) == f"true_weight must be positive, got {weight!r}"
+
+
 def test_fitness_endpoint_mismatch():
     edge = InventedEdge(origin=0, src=1, dst=2, weight=459, pair_weights=(312, 771))
     with pytest.raises(EndpointMismatch):

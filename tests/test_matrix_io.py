@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conicroute.errors import (
@@ -84,7 +84,8 @@ _NOT_ASCII_DIGITS = ["1_0", " 3", "3 ", "+5", "\u0663", "\uff15", "--1", "-", "1
                      "0x1F", "\u00b2"]
 
 
-@pytest.mark.parametrize("token", _NOT_ASCII_DIGITS)
+@pytest.mark.parametrize("token", _NOT_ASCII_DIGITS + [
+    pytest.param("9" * 4301, id="4301_digits")])  # past the digits int() converts
 @pytest.mark.parametrize("field", ["cell", "source offset", "offset", "true_weight"])
 def test_a_number_outside_ascii_digits_is_a_non_integer_cell(hospital_graph, field, token):
     if field == "true_weight":
@@ -254,6 +255,28 @@ def test_parse_reads_back_every_emitted_matrix(matrix):
 @given(matrices(valid=True))
 def test_from_graph_reads_back_every_built_matrix(matrix):
     assert from_graph(to_graph(matrix)) == matrix
+
+
+@st.composite
+def canonical_texts(draw) -> str:
+    """The text emit_build_matrix writes for a matrix whose numbers run up to
+    the 4,300 digits the grammar reads."""
+    n_dest, n_src = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    positive = st.integers(1, 10**4300 - 1)
+    number = positive | positive.map(lambda w: -w) | st.just(0)
+    offsets = sorted(draw(st.sets(positive, min_size=n_dest, max_size=n_dest)))
+    rows = [MatrixRow(draw(st.text()), offset, tuple(
+                draw(st.lists(st.none() | number, min_size=n_dest, max_size=n_dest))))
+            for offset in sorted(draw(st.sets(number, min_size=n_src, max_size=n_src)))]
+    labels = draw(st.lists(st.text(min_size=1), min_size=n_dest, max_size=n_dest))
+    return emit_build_matrix(BuildMatrix(tuple(labels), tuple(offsets), tuple(rows)))
+
+
+@settings(max_examples=150)
+@given(canonical_texts())
+@example("destinations,A\noffsets,1\nS,-" + "9" * 4300 + "," + "9" * 4300 + "\n")
+def test_every_canonical_text_survives_a_parse_and_emit(text):
+    assert emit_build_matrix(parse_build_matrix(text)) == text
 
 
 def test_parse_hidden_paths(hospital_graph):

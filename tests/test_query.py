@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conicroute.cli import Alternate, cmd_query
 from conicroute.dijkstra import shortest_paths
 from conicroute.graph import ConicGraph, Edge, NodeKind, Provenance
-from conicroute.invention import FitnessReport, HiddenPath, invent_for_source
+from conicroute.invention import FitnessReport, HiddenPath, PolicyThreshold, invent_for_source
 from conicroute.matrix_io import BuildMatrix, MatrixRow, parse_build_matrix, to_graph
 
 from conftest import MATRIX_PATH, label_id
@@ -84,7 +84,7 @@ def test_cmd_query_matches_brute_force(data, matrix):
         paths[frozenset((path.src, path.dst))] = path
     for row in matrix.rows:
         result = cmd_query(graph, row.source_label, hidden=paths, tolerance=TOLERANCE,
-                           allowable=allowable)
+                           policy=None if allowable is None else PolicyThreshold(allowable))
         assert (result.best, result.invented_alternates) == reference_query(
             matrix, row, hidden, allowable)
 

@@ -9,7 +9,8 @@ uses lazy re-insertion. A node is pushed only when its label strictly drops
 and weights are positive, so an entry is stale exactly when its distance
 exceeds the node's label; stale entries are discarded on pop against that
 label, with no settled set. Ties on distance settle the smaller node id
-first, so runs are deterministic.
+first, so runs are deterministic. The adjacency is chosen once per search:
+the graph's original view, or every edge with use_invented.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from heapq import heappop, heappush
 from math import inf
 
 from .errors import Unreachable
-from .graph import ConicGraph, NodeId, Provenance
+from .graph import ConicGraph, NodeId
 
 
 class _Labels(Mapping):
@@ -95,15 +96,13 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
     pred = {source: None}
     frontier = [(0, source)]
     settled = []
-    label_of, out, original = dist.get, graph._out, Provenance.ORIGINAL
+    label_of, out = dist.get, graph._out if use_invented else graph._original
     while frontier:
         d, node = heappop(frontier)
         if d > dist[node]:
             continue  # stale entry superseded by a later, smaller label
         settled.append(node)
         for edge in out[node]:
-            if not use_invented and edge.provenance is not original:
-                continue
             label, dst = d + edge.weight, edge.dst
             if label < label_of(dst, inf):
                 dist[dst] = label

@@ -19,14 +19,17 @@ list into a tuple sorted by target offset. A query stores labels for the
 nodes it reaches only, so it costs its source's fan-out, not the node count.
 Derived edges (shortcuts from contraction, invented edges) never mutate a
 frozen graph in place: extend() returns the graph itself for no edges, else
-a new frozen graph with its own ranks sharing the base's nodes and
-untouched adjacency tuples.
+a new frozen graph with its own ranks sharing the base's nodes, untouched
+adjacency tuples and original adjacency _original: the base's own sealed
+tuples, set by freeze(). The search without use_invented and the pair walk
+read _original, so neither tests an edge's provenance.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -145,21 +148,23 @@ class ConicGraph:
             # predecessors stay, as extend() accepts edges by the same step
             del self._by_offset, self._out_weights
             self._seal()
+            self._original = self._out  # every edge so far is original
             self._frozen = True
         return self
 
-    def extend(self, derived: "list[Edge] | tuple[Edge, ...]") -> "ConicGraph":
+    def extend(self, derived: Iterable[Edge]) -> "ConicGraph":
         """Return a frozen graph with derived (shortcut/invented) edges added.
 
         The base graph is left untouched, and a frozen graph never changes,
         so with no derived edges it is returned as is. Only SHORTCUT and
-        INVENTED edges are taken; all are checked first, then each is
-        accepted by add_edge's acceptance step, so the combined edge set
-        stays acyclic. Otherwise the copy shares every adjacency tuple it adds
-        nothing to and costs O(V) list copies plus its derived edges; a
-        contraction shortcut is always forward in rank.
+        INVENTED edges are taken, so the copy shares the base's original
+        adjacency; all are checked first, then accepted by add_edge's step,
+        so the combined edge set stays acyclic. The copy shares every
+        adjacency tuple it adds nothing to and costs O(V + E) list copies
+        plus its derived edges; a contraction shortcut is forward in rank.
         """
         self._require_frozen()
+        derived = tuple(derived)
         if not derived:
             return self
         for edge in derived:
@@ -170,7 +175,7 @@ class ConicGraph:
         # this graph's attributes into a dict that slows every later query
         g = ConicGraph.__new__(ConicGraph)
         g._nodes, g._by_label, g._rank = self._nodes, self._by_label, list(self._rank)
-        g._edges, g._frozen = list(self._edges), True
+        g._edges, g._original, g._frozen = list(self._edges), self._original, True
         out, preds = g._out, g._preds = list(self._out), self._preds.copy()
         # the copy's own lists for the nodes that gain an edge: the base's stay as they are
         for src in {edge.src for edge in derived}:

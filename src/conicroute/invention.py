@@ -1,10 +1,11 @@
 """Invention of destination-to-destination edges by absolute edge difference.
 
-For one source, its destinations are walked in ascending offset order as
-consecutive pairs. Within a pair the smaller source edge is the found
-short path; a new edge is invented from that destination to its neighbour,
-weighing the absolute difference of the two source edges. An optional
-policy threshold suppresses any invention heavier than the allowable cap.
+For one source, its original edges (the graph's original adjacency) are
+walked in ascending target offset order as consecutive pairs. Within a
+pair the smaller source edge is the found short path; a new edge is
+invented from that destination to its neighbour, weighing the absolute
+difference of the two source edges. An optional policy threshold
+suppresses any invention heavier than the allowable cap.
 
 Invented weights sit exactly on the lower triangle-inequality bound of the
 pair, so min + invented = max always holds. A known hidden path between
@@ -74,8 +75,8 @@ class PolicyThreshold:
     allowable: int
 
     def __post_init__(self) -> None:
-        if self.allowable <= 0:
-            raise ValueError(f"allowable must be positive, got {self.allowable}")
+        if type(self.allowable) is not int or self.allowable <= 0:
+            raise ValueError(f"allowable must be positive, got {self.allowable!r}")
 
     def admits(self, weight: int) -> bool:
         return weight <= self.allowable
@@ -109,9 +110,8 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
     if node.kind is not NodeKind.SOURCE:
         raise NotASource(f"node {node.label!r} is a {node.kind.value}")
     invented: list[InventedEdge] = []
-    # frozen and node are checked above: read the adjacency unchecked
-    originals = [e for e in graph._out[source] if e.provenance is Provenance.ORIGINAL]
-    for first, second in pairwise(originals):
+    # frozen and node are checked above: read the original adjacency unchecked
+    for first, second in pairwise(graph._original[source]):
         weight = absolute_edge_difference(first.weight, second.weight)
         if policy is not None and not policy.admits(weight):
             continue

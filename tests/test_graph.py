@@ -23,8 +23,9 @@ from conicroute.errors import (
     UnknownNode,
 )
 from conicroute.graph import ConicGraph, Edge, Node, NodeKind, Provenance, validate
+from conicroute.invention import invent_for_source
 
-from conftest import label_id, random_conic
+from conftest import label_id, random_conic, random_dag
 
 
 def test_add_node_ids_are_sequential():
@@ -501,6 +502,58 @@ def test_extend_shares_untouched_adjacency_and_sorts_only_touched_nodes(
                    Edge(cmc, pc, 1001, Provenance.INVENTED),
                    Edge(rum, cmc, 1002, Provenance.SHORTCUT)]
     assert g.extend(interleaved).edges == g.edges + tuple(interleaved)
+
+
+def test_extend_takes_any_iterable_of_derived_edges(hospital_graph):
+    g = hospital_graph
+    derived = [e.as_edge() for e in invent_for_source(g, label_id(g, "Rumuomasi"))]
+    as_list = g.extend(derived)
+    assert as_list.edge_count == g.edge_count + len(derived) > g.edge_count
+    for extended in (g.extend(e for e in derived), g.extend(tuple(derived))):
+        assert extended.edges == as_list.edges
+        assert [extended.out_edges(n.id) for n in g.nodes] == \
+            [as_list.out_edges(n.id) for n in g.nodes]
+    assert g.extend(iter(())) is g
+    rum, cmc = label_id(g, "Rumuomasi"), label_id(g, "CMC")
+    with pytest.raises(ValueError, match="derived edges only"):
+        g.extend(e for e in derived + [Edge(rum, cmc, 7, Provenance.ORIGINAL)])
+
+
+@st.composite
+def _dags_with_derived_edges(draw):
+    """A random_dag and forward derived edges for it: some parallel to an
+    original edge, some leaving a node with two or more original out-edges."""
+    base = random_dag(random.Random(draw(st.integers(0, 2**32 - 1))))
+    n = base.node_count
+    fanned = [v for v in range(n) if len(base.out_edges(v)) >= 2]
+    derived = []
+    for _ in range(draw(st.integers(1, 12))):
+        pick = draw(st.sampled_from(["parallel", "fanned", "any"]))
+        if pick == "parallel" and base.edges:
+            src, dst = draw(st.sampled_from([(e.src, e.dst) for e in base.edges]))
+        else:
+            src = draw(st.sampled_from(fanned) if pick == "fanned" and fanned
+                       else st.integers(0, n - 2))
+            dst = draw(st.integers(src + 1, n - 1))
+        derived.append(Edge(src, dst, draw(st.integers(1, 1000)),
+                            draw(st.sampled_from([Provenance.SHORTCUT, Provenance.INVENTED]))))
+    return base, derived, draw(st.integers(0, len(derived)))
+
+
+@settings(max_examples=200)
+@given(_dags_with_derived_edges())
+def test_an_extended_graph_searches_and_pairs_the_originals_of_its_base(case):
+    # the search without use_invented and the pair walk read original edges only
+    base, derived, cut = case
+    once = base.extend(list(derived))
+    twice = base.extend(derived[:cut]).extend(derived[cut:])
+    for s in range(base.node_count):
+        plain = shortest_paths(base, s)
+        expected = (dict(plain.dist), plain.pred, plain.settled_order)
+        for extended in (once, twice):
+            state = shortest_paths(extended, s)
+            assert (dict(state.dist), state.pred, state.settled_order) == expected
+            assert invent_for_source(extended, s) == invent_for_source(base, s)
 
 
 def test_extend_rejects_cycles(hospital_graph):

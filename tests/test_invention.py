@@ -155,6 +155,15 @@ def test_policy_requires_positive_cap():
         PolicyThreshold(0)
 
 
+@pytest.mark.parametrize("cap", [0, -3, True, 2.5, Fraction(3, 2), "5"],
+                         ids=["zero", "negative", "bool", "float", "fraction", "str"])
+def test_policy_refuses_a_cap_that_is_not_a_positive_int(cap):
+    # admits() compares weights with the cap: it must be an exact positive int
+    with pytest.raises(ValueError) as err:
+        PolicyThreshold(cap)
+    assert str(err.value) == f"allowable must be positive, got {cap!r}"
+
+
 def test_orientation_minimum_first():
     rng = random.Random(808)
     for _ in range(40):

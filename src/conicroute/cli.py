@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +43,7 @@ from .invention import (
     HiddenPath,
     InventedEdge,
     PolicyThreshold,
+    _as_fraction,
     fitness,
     invent_all,
     invent_for_source,
@@ -358,24 +358,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-# Fraction("1eN") builds 10**N, so a long exponent would keep parsing for
-# hours; a ratio of two legal weights (up to 4,300 digits each) needs far less
-MAX_TOLERANCE_EXPONENT = 10_000
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
-
-
 def _tolerance(text: str) -> Fraction:
+    """The tolerance, read by fitness()'s own grammar."""
     try:
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent[1])) > MAX_TOLERANCE_EXPONENT:
-            raise argparse.ArgumentTypeError(
-                f"tolerance exponent must lie within ±{MAX_TOLERANCE_EXPONENT}: {text!r}")
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("tolerance must be non-negative")
-    return value
+        return _as_fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _allowable(text: str) -> PolicyThreshold:
@@ -393,7 +381,8 @@ _FLAGS = {
     "--format": dict(choices=("json", "table"), default="json",
                      help="output format (default json)"),
     "--tolerance": dict(type=_tolerance, default=DEFAULT_TOLERANCE,
-                        help="fitness tolerance as a rational, e.g. 0.1 or 1/10"),
+                        help="fitness tolerance, an unsigned decimal or ratio such as "
+                             "0.1, 1e-1 or 1/10 (default 1/10)"),
     "--allowable": dict(type=_allowable, default=None,
                         help="suppress inventions heavier than this cap"),
 }

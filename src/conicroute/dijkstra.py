@@ -112,16 +112,16 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
 
 
 def path_to(state: SearchState, target: NodeId) -> PathResult:
-    """Unwind predecessor labels from target back to the search source."""
-    if target not in state.dist:
-        raise Unreachable(f"node {target} was not part of the search")
-    if state.dist[target] == inf:
+    """Unwind predecessor labels from target back to the search source.
+
+    The target is a node id as the search takes one: exactly an int in 0..n-1.
+    """
+    if type(target) is not int or not 0 <= target < len(state.dist):
+        raise Unreachable(f"node {target!r} was not part of the search")
+    if target not in state.pred:
         raise Unreachable(f"node {target} is unreachable from {state.source}")
     nodes = [target]
-    while nodes[-1] != state.source:
-        prev = state.pred[nodes[-1]]
-        assert prev is not None
+    while (prev := state.pred[nodes[-1]]) is not None:
         nodes.append(prev)
     nodes.reverse()
-    return PathResult(target=target, distance=int(state.dist[target]),
-                      nodes=tuple(nodes))
+    return PathResult(target=target, distance=state.dist[target], nodes=tuple(nodes))

@@ -15,6 +15,7 @@ scores relative error against a tolerance.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -23,6 +24,9 @@ from .errors import EndpointMismatch, NonPositiveWeight, NotASource
 from .graph import ConicGraph, Edge, NodeId, NodeKind, Provenance
 
 DEFAULT_TOLERANCE = Fraction(1, 10)
+# a tolerance's text; a four-digit exponent keeps Fraction("1eN") small
+_TOLERANCE = re.compile(r"[0-9]+/[0-9]*[1-9][0-9]*"
+                        r"|([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]{1,4})?")
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +144,10 @@ def fitness(invented: InventedEdge, hidden: HiddenPath,
 
     The hidden path must join the same two destinations (either
     orientation). Relative error is exact rational arithmetic; fit holds
-    when it does not exceed the tolerance.
+    when it does not exceed the tolerance. A str tolerance, here and in the
+    CLI, is unsigned ASCII: a ratio such as 1/10 (non-zero denominator) or
+    a decimal such as 0.1, .5 or 5. with an exponent of at most four digits
+    (1e-1); other text raises ValueError. A float is read through its repr.
     """
     if {invented.src, invented.dst} != {hidden.src, hidden.dst}:
         raise EndpointMismatch(
@@ -159,7 +166,7 @@ def fitness(invented: InventedEdge, hidden: HiddenPath,
 
 
 def _as_fraction(tolerance: "Fraction | float | int | str") -> Fraction:
+    if isinstance(tolerance, str) and not _TOLERANCE.fullmatch(tolerance):
+        raise ValueError(f"not an unsigned decimal or ratio: {tolerance!r}")
     # Floats go through their decimal repr so that 0.1 means exactly 1/10.
-    if isinstance(tolerance, float):
-        return Fraction(str(tolerance))
-    return Fraction(tolerance)
+    return Fraction(str(tolerance) if isinstance(tolerance, float) else tolerance)

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 import conicroute
 from conicroute import cli
-from conicroute.cli import MAX_TOLERANCE_EXPONENT, main
+from conicroute.cli import main
+from conicroute.invention import HiddenPath, InventedEdge, fitness
 
 from conftest import HIDDEN_PATH, MATRIX_PATH
 
@@ -249,6 +250,33 @@ def test_an_allowable_outside_the_grammar_exits_1_with_one_line(token):
     assert err.count("\n") == 1
 
 
+# the tolerance grammar, stated here on its own: unsigned ASCII, a ratio with
+# a non-zero denominator, or a decimal with an exponent of at most four digits
+_TOLERANCE = r"[0-9]+/0*[1-9][0-9]*|([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]{1,4})?"
+_NEAR_RATIONALS = st.lists(st.sampled_from([*"0123456789/-+_ .eE\t", "\u0661", "\u066b",
+                                            "\uff15", "\u00b2"]), max_size=8).map("".join)
+
+
+@settings(max_examples=150)
+@given((st.text() | _NEAR_RATIONALS).filter(lambda text: not re.fullmatch(_TOLERANCE, text)))
+@example("1_0")
+@example(" 0.1")
+@example("+0.1")
+@example("\u0660.\u0661")
+@example("-1")
+@example("1/0")
+@example(_PAST_INT_LIMIT + "/1")  # inside the regex, past the digits int() converts
+def test_a_tolerance_outside_the_grammar_exits_1_with_one_line(token):
+    code, out, err = _captured(["query", MATRIX, "--source", "Rumuomasi", f"--tolerance={token}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("conicroute query: error: argument --tolerance: not a rational number: ")
+    assert err.count("\n") == 1
+    # fitness() reads a str tolerance by the same rule
+    with pytest.raises(ValueError):
+        fitness(InventedEdge(origin=0, src=1, dst=2, weight=1, pair_weights=(1, 2)),
+                HiddenPath(src=1, dst=2, true_weight=1), token)
+
+
 def test_parse_error_names_line_and_exits_2(tmp_path, capsys):
     bad = tmp_path / "ragged.csv"
     bad.write_text("destinations,A,B\noffsets,1,2\nS1,0,10\n")
@@ -413,14 +441,14 @@ def test_relative_error_past_the_float_range_is_written_null(tmp_path, capsys, f
 
 
 def test_tolerance_exponent_past_the_limit_is_a_usage_error(capsys):
-    limit = MAX_TOLERANCE_EXPONENT
-    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", f"1e+{limit + 1:_}"):
+    # the grammar takes an exponent of at most four digits
+    for text in ("1e10000", "1E-10000", "1e+10_000"):
         code, out, err = run(capsys, "query", MATRIX, "--source", "Rumuomasi",
                              "--tolerance", text)
         assert (code, out) == (1, "")
-        assert err.splitlines()[-1] == ("conicroute query: error: argument --tolerance: "
-                                        f"tolerance exponent must lie within ±{limit}: {text!r}")
-    for text in (f"1e{limit}", f"1e-{limit}"):
+        assert err == ("conicroute query: error: argument --tolerance: "
+                       f"not a rational number: {text!r}\n")
+    for text in ("1e9999", "1e-9999"):
         assert run(capsys, "query", MATRIX, "--source", "Rumuomasi",
                    "--tolerance", text)[0] == 0
 
@@ -554,7 +582,8 @@ def test_stdout_closed_by_its_reader_exits_0_quietly(argv):
 
 # sha256 of (exit code, stdout, stderr) for each case; stdout and stderr as the
 # UTF-8 bytes the CLI writes. Recorded from the dict-and-JSONEncoder rendering
-# that the per-shape renderers replaced, so any byte they change shows here.
+# that the per-shape renderers replaced, so any byte they change shows here; the
+# tolerance cases from the Fraction() reading that the tolerance grammar replaced.
 _PINNED = {
     "bad-validate-json": "59113bb4cf290df3886a118b3b653c6dbe35204efc6d909a88a38e436d415cac",
     "bad-validate-table": "cf2a07e2653b0697c3b7202426b35793e447216ce27119e5c3d200729b8aa70b",
@@ -565,6 +594,10 @@ _PINNED = {
     "fixture-invent-table": "7c475af8e061fb1430481c4fb28cb4b74d369f513ef5f7ba96dfa61126dcbf8f",
     "fixture-query_all_sources_hidden-json": "87a9823f4985b92696c118504470e3939bb435f8e01a22e33ae71fff491706ed",
     "fixture-query_all_sources_hidden-table": "dcd5e799d68141b7983bba19143383e81618788643f59b327813af71b243de72",
+    "fixture-query_all_sources_hidden_tolerance_bare_fraction": "bb4da7e3ee22ce9718cfd26b4e0e5b264c44e93203f7b7488ef060381a4e9dab",
+    "fixture-query_all_sources_hidden_tolerance_decimal": "bb4da7e3ee22ce9718cfd26b4e0e5b264c44e93203f7b7488ef060381a4e9dab",
+    "fixture-query_all_sources_hidden_tolerance_exponent": "bb4da7e3ee22ce9718cfd26b4e0e5b264c44e93203f7b7488ef060381a4e9dab",
+    "fixture-query_all_sources_hidden_tolerance_ratio": "bb4da7e3ee22ce9718cfd26b4e0e5b264c44e93203f7b7488ef060381a4e9dab",
     "fixture-query_source-json": "7d81eb08956e91bdd31e3d8bc8f8f76ccd4e4d9fe98011cfbed0cfecf9db97a9",
     "fixture-query_source-table": "f695c5247300701d64f52a5e9d372ace95cf631439fcac9a9715ff1aaa468158",
     "fixture-validate-json": "5c134c055c06b63ad4592ad9e8e22fe3bc18785dcb998f69ba6e4dd0d3d67f83",
@@ -576,6 +609,10 @@ _PINNED = {
     "generated-invent-table": "a8b45e22928d54d20baecb98c154d0cfb61c6d5c5e8bc111a7dfbb8649a7f037",
     "generated-query_all_sources_hidden-json": "ecf20646ae73159e0242e49fbff966d507ab82f52da46a2043309c4112bff66a",
     "generated-query_all_sources_hidden-table": "096fd071f3aadca5f6b3e56a2796806e5916f8c9aec813b7c93c4dcf5d166421",
+    "generated-query_all_sources_hidden_tolerance_bare_fraction": "0bd52f3fc71df5654c69b86d740a79f92f204efaa8f032a2ac407015b5cf4915",
+    "generated-query_all_sources_hidden_tolerance_decimal": "0bd52f3fc71df5654c69b86d740a79f92f204efaa8f032a2ac407015b5cf4915",
+    "generated-query_all_sources_hidden_tolerance_exponent": "0bd52f3fc71df5654c69b86d740a79f92f204efaa8f032a2ac407015b5cf4915",
+    "generated-query_all_sources_hidden_tolerance_ratio": "0bd52f3fc71df5654c69b86d740a79f92f204efaa8f032a2ac407015b5cf4915",
     "generated-query_source-json": "53108bd01c5293e14f505f97d4182894c52bcf14bd6532f8ddf1134c6018ee22",
     "generated-query_source-table": "1c59ba505774823a9a90b5a14ab24b1c27fdf3a8ab01c7d80898d137cce31172",
     "generated-validate-json": "5c134c055c06b63ad4592ad9e8e22fe3bc18785dcb998f69ba6e4dd0d3d67f83",
@@ -607,6 +644,12 @@ def _pinned_cases() -> dict[str, list[str]]:
             ):
                 cases[f"{files}-{name}-{fmt}"] = [*argv, "--format", fmt]
         cases[f"{files}-export_invent"] = ["export", "{matrix}", "--invent"]
+        # every accepted form of one tolerance gives the same bytes
+        for form, tolerance in (("ratio", "1/20"), ("decimal", "0.05"), ("exponent", "5e-2"),
+                                ("bare_fraction", ".05")):
+            cases[f"{files}-query_all_sources_hidden_tolerance_{form}"] = [
+                "query", "{matrix}", "--all-sources", "--hidden", "{hidden}",
+                "--tolerance", tolerance]
     for fmt in ("json", "table"):
         cases[f"overflow-query_hidden-{fmt}"] = [
             "query", "{overflow}", "--source", "s", "--hidden", "{overflow_hidden}",

@@ -56,8 +56,11 @@ def test_path_to_hospital(hospital_graph):
     assert path_to(state, rum).nodes == (rum,)
     with pytest.raises(Unreachable, match="unreachable from"):
         path_to(state, label_id(g, "PC"))
-    with pytest.raises(Unreachable, match="not part of the search"):
-        path_to(state, g.node_count)
+    # a node id is exactly an int, as the search takes one: 5.0 and True
+    # would otherwise find nodes 5 and 1 through the labels' total map
+    for target in (g.node_count, 5.0, True, "5"):
+        with pytest.raises(Unreachable, match="not part of the search"):
+            path_to(state, target)
 
 
 def test_settled_order_is_monotone():

@@ -234,6 +234,25 @@ def test_fitness_poor_match():
     assert report.fit is False
 
 
+# relative error 41/500 = 0.082 against each text; None: outside the grammar
+@pytest.mark.parametrize("text, fit", [
+    ("1/10", True), ("0.1", True), ("1e-1", True), (".5", True), ("5.", True),
+    ("1e-9999", False),
+    ("1_0", None), (" 0.1", None), ("+0.1", None), ("\u0660.\u0661", None), ("-1", None),
+    ("1/0", None), ("9" * 4301 + "/1", None),
+], ids=["ratio", "decimal", "exponent", "leading_point", "trailing_point", "tiny",
+        "underscore", "space", "plus", "arabic_digits", "negative", "zero_denominator",
+        "past_int_limit"])
+def test_a_str_tolerance_is_read_by_one_grammar(text, fit):
+    edge = InventedEdge(origin=0, src=1, dst=2, weight=459, pair_weights=(312, 771))
+    hidden = HiddenPath(src=1, dst=2, true_weight=500)
+    if fit is None:
+        with pytest.raises(ValueError):
+            fitness(edge, hidden, text)
+    else:
+        assert fitness(edge, hidden, text).fit is fit
+
+
 @pytest.mark.parametrize("weight", [0, -5, True], ids=["zero", "negative", "bool"])
 def test_hidden_path_refuses_a_weight_that_is_not_a_positive_int(weight):
     # fitness divides by the weight: 0 would raise, -5 would grade as fit

@@ -1,16 +1,18 @@
 """Invention of destination-to-destination edges by absolute edge difference.
 
-For one source, its original edges (the graph's original adjacency) are
-walked in ascending target offset order as consecutive pairs. Within a
-pair the smaller source edge is the found short path; a new edge is
-invented from that destination to its neighbour, weighing the absolute
-difference of the two source edges. An optional policy threshold
-suppresses any invention heavier than the allowable cap.
+For one source, its original edges are walked in ascending target offset
+order as consecutive pairs; on a matrix source the targets are its
+destinations, on a general DAG any nodes. Within a pair the smaller edge
+is the found short path, and a new edge is invented from its target to the
+other's, weighing the absolute difference of the two. The pair walk is
+the one place an invention's rules hold: a pair must reach two different
+nodes, and an optional policy cap suppresses any heavier invention.
 
-Invented weights sit exactly on the lower triangle-inequality bound of the
-pair, so min + invented = max always holds. A known hidden path between
-the same two destinations can grade an invention via fitness(), which
-scores relative error against a tolerance.
+An InventedEdge is a plain record, like a contraction Shortcut. add_edge
+keeps a source's weights distinct, so its weight, on the lower triangle
+bound of the pair, is positive and min + invented = max always holds. A
+known hidden path between the same two destinations can grade an
+invention via fitness(), which scores relative error against a tolerance.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
+from math import inf
 
 from .errors import EndpointMismatch, NonPositiveWeight, NotASource
 from .graph import ConicGraph, Edge, NodeId, NodeKind, Provenance
@@ -38,13 +41,6 @@ class InventedEdge:
     dst: NodeId                    # its offset neighbour
     weight: int                    # absolute difference of the pair
     pair_weights: tuple[int, int]  # (smaller, larger) source-edge weights
-
-    def __post_init__(self) -> None:
-        lo, hi = self.pair_weights
-        if not (0 < lo < hi):
-            raise ValueError(f"pair weights must be positive and distinct: {self.pair_weights}")
-        if self.weight != hi - lo:
-            raise ValueError(f"weight {self.weight} is not the difference of {self.pair_weights}")
 
     def as_edge(self) -> Edge:
         return Edge(self.src, self.dst, self.weight, Provenance.INVENTED)
@@ -82,9 +78,6 @@ class PolicyThreshold:
         if type(self.allowable) is not int or self.allowable <= 0:
             raise ValueError(f"allowable must be positive, got {self.allowable!r}")
 
-    def admits(self, weight: int) -> bool:
-        return weight <= self.allowable
-
 
 def absolute_edge_difference(w1: int, w2: int) -> int:
     """|w1 - w2| for two positive edge weights; symmetric."""
@@ -106,18 +99,19 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
                       policy: PolicyThreshold | None = None) -> list[InventedEdge]:
     """Invent edges between consecutive destination pairs of one source.
 
-    Runs in one pass over the source's offset-sorted destinations: exactly
-    one pair evaluation per consecutive pair.
+    One pass, one evaluation per consecutive pair of the source's original
+    edges; a pair over the cap or with both edges to one node is skipped.
     """
     graph._require_frozen()
     node = graph.node(source)
     if node.kind is not NodeKind.SOURCE:
         raise NotASource(f"node {node.label!r} is a {node.kind.value}")
+    cap = inf if policy is None else policy.allowable
     invented: list[InventedEdge] = []
     # frozen and node are checked above: read the original adjacency unchecked
     for first, second in pairwise(graph._original[source]):
         weight = absolute_edge_difference(first.weight, second.weight)
-        if policy is not None and not policy.admits(weight):
+        if weight > cap or first.dst == second.dst:
             continue
         if first.weight < second.weight:
             near, far, pair = first.dst, second.dst, (first.weight, second.weight)
@@ -147,7 +141,8 @@ def fitness(invented: InventedEdge, hidden: HiddenPath,
     when it does not exceed the tolerance. A str tolerance, here and in the
     CLI, is unsigned ASCII: a ratio such as 1/10 (non-zero denominator) or
     a decimal such as 0.1, .5 or 5. with an exponent of at most four digits
-    (1e-1); other text raises ValueError. A float is read through its repr.
+    (1e-1); other text raises ValueError, as do a bool and a negative
+    number. A float is read through its repr.
     """
     if {invented.src, invented.dst} != {hidden.src, hidden.dst}:
         raise EndpointMismatch(
@@ -166,7 +161,10 @@ def fitness(invented: InventedEdge, hidden: HiddenPath,
 
 
 def _as_fraction(tolerance: "Fraction | float | int | str") -> Fraction:
-    if isinstance(tolerance, str) and not _TOLERANCE.fullmatch(tolerance):
-        raise ValueError(f"not an unsigned decimal or ratio: {tolerance!r}")
-    # Floats go through their decimal repr so that 0.1 means exactly 1/10.
-    return Fraction(str(tolerance) if isinstance(tolerance, float) else tolerance)
+    if not isinstance(tolerance, bool) and (not isinstance(tolerance, str)
+                                            or _TOLERANCE.fullmatch(tolerance)):
+        # Floats go through their decimal repr so that 0.1 means exactly 1/10.
+        value = Fraction(str(tolerance) if isinstance(tolerance, float) else tolerance)
+        if value >= 0:  # no relative error is below 0
+            return value
+    raise ValueError(f"not an unsigned decimal or ratio: {tolerance!r}")

@@ -184,7 +184,7 @@ def to_graph(matrix: BuildMatrix) -> ConicGraph:
 
 
 def from_graph(g: ConicGraph) -> BuildMatrix:
-    """Re-emit a graph in build-matrix form (original edges only)."""
+    """Re-emit a graph in build-matrix form: original edges, lightest of parallels."""
     dests = sorted(g.destinations(), key=lambda n: n.offset)
     column = {node.id: i for i, node in enumerate(dests)}
     rows = []
@@ -192,7 +192,8 @@ def from_graph(g: ConicGraph) -> BuildMatrix:
         cells: list[int | None] = [None] * len(dests)
         for edge in g.out_edges(source.id):
             if edge.provenance is Provenance.ORIGINAL and edge.dst in column:
-                cells[column[edge.dst]] = edge.weight
+                i = column[edge.dst]
+                cells[i] = min(edge.weight, cells[i] or edge.weight)  # weights are > 0
         rows.append(MatrixRow(source.label, source.offset, tuple(cells)))
     return BuildMatrix(
         tuple(n.label for n in dests),

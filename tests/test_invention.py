@@ -6,8 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conicroute.invention as invention
+from conicroute.cli import cmd_query
+from conicroute.dot import export_dot
 from conicroute.errors import (
     EndpointMismatch,
     GraphNotFrozen,
@@ -158,7 +162,7 @@ def test_policy_requires_positive_cap():
 @pytest.mark.parametrize("cap", [0, -3, True, 2.5, Fraction(3, 2), "5"],
                          ids=["zero", "negative", "bool", "float", "fraction", "str"])
 def test_policy_refuses_a_cap_that_is_not_a_positive_int(cap):
-    # admits() compares weights with the cap: it must be an exact positive int
+    # the pair walk compares weights with the cap: it must be an exact positive int
     with pytest.raises(ValueError) as err:
         PolicyThreshold(cap)
     assert str(err.value) == f"allowable must be positive, got {cap!r}"
@@ -204,11 +208,62 @@ def test_pair_evaluation_count_is_destinations_minus_one(monkeypatch):
     assert len(edges) == n - 1
 
 
-def test_invented_edge_invariants_enforced():
-    with pytest.raises(ValueError):
-        InventedEdge(origin=0, src=1, dst=2, weight=10, pair_weights=(5, 20))
-    with pytest.raises(ValueError, match=r"pair weights must be positive and distinct"):
-        InventedEdge(origin=0, src=1, dst=2, weight=0, pair_weights=(5, 5))
+@st.composite
+def parallel_conic_graphs(draw) -> ConicGraph:
+    """A matrix-like graph whose sources may hold parallel original edges."""
+    n_src, n_dst = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    g = ConicGraph()
+    sources = [g.add_node(f"s{i}", NodeKind.SOURCE, i) for i in range(n_src)]
+    dests = [g.add_node(f"d{j}", NodeKind.DESTINATION, j + 1) for j in range(n_dst)]
+    for src in sources:
+        targets = draw(st.lists(st.sampled_from(dests), max_size=8))
+        # add_edge keeps a source's weights distinct
+        weights = draw(st.lists(st.integers(1, 60), min_size=len(targets),
+                                max_size=len(targets), unique=True))
+        for dst, weight in zip(targets, weights):
+            g.add_edge(src, dst, weight)
+    return g.freeze()
+
+
+@settings(max_examples=300)
+@given(parallel_conic_graphs())
+def test_every_invention_keeps_the_pair_walk_rules(g):
+    for origin, inventions in invent_all(g).items():
+        originals = g.out_edges(origin)  # a graph fresh from freeze() holds no derived edge
+        pairs = [(a, b) for a, b in zip(originals, originals[1:]) if a.dst != b.dst]
+        assert len(inventions) == len(pairs)
+        for e, (a, b) in zip(inventions, pairs):
+            lo, hi = e.pair_weights
+            assert 0 < lo < hi and lo + e.weight == hi
+            assert e.src != e.dst
+            # two consecutive original edges of origin, to different nodes
+            lighter, heavier = sorted((a, b), key=lambda edge: edge.weight)
+            assert (lo, hi) == (lighter.weight, heavier.weight)
+            assert (e.origin, e.src, e.dst) == (origin, lighter.dst, heavier.dst)
+
+
+def _parallel_graph() -> tuple[ConicGraph, int, int, int]:
+    """s reaches d by 3 and by 5, and e by 9."""
+    g = ConicGraph()
+    s = g.add_node("s", NodeKind.SOURCE, 0)
+    d = g.add_node("d", NodeKind.DESTINATION, 1)
+    e = g.add_node("e", NodeKind.DESTINATION, 2)
+    for dst, weight in ((d, 3), (d, 5), (e, 9)):
+        g.add_edge(s, dst, weight)
+    return g.freeze(), s, d, e
+
+
+def test_parallel_edges_to_one_node_invent_nothing_between_them():
+    g, s, d, e = _parallel_graph()
+    inventions = invent_for_source(g, s)
+    # the sealed order pairs d's later edge with e
+    assert inventions == [InventedEdge(origin=s, src=d, dst=e, weight=4, pair_weights=(5, 9))]
+    assert [(a.src_label, a.dst_label) for a in cmd_query(g, "s").invented_alternates] == [
+        ("d", "e")]
+    assert "d -> d" not in export_dot(g, invented=inventions)
+    extended = g.extend([edge.as_edge() for edge in inventions])
+    assert [(x.src, x.dst) for x in extended.edges if x.provenance is Provenance.INVENTED] == [
+        (d, e)]
 
 
 def test_fitness_exact_match():
@@ -251,6 +306,23 @@ def test_a_str_tolerance_is_read_by_one_grammar(text, fit):
             fitness(edge, hidden, text)
     else:
         assert fitness(edge, hidden, text).fit is fit
+
+
+# an exact match against each numeric tolerance; None: refused
+@pytest.mark.parametrize("tolerance, fit", [
+    (0, True), (0.0, True), (Fraction(0), True), ("0", True), (0.1, True),
+    (-1, None), (-0.1, None), (Fraction(-1, 10), None), (True, None), (False, None),
+], ids=["int_zero", "float_zero", "fraction_zero", "str_zero", "float",
+        "negative_int", "negative_float", "negative_fraction", "true", "false"])
+def test_a_numeric_tolerance_is_neither_negative_nor_a_bool(tolerance, fit):
+    edge = InventedEdge(origin=0, src=1, dst=2, weight=459, pair_weights=(312, 771))
+    hidden = HiddenPath(src=1, dst=2, true_weight=459)
+    if fit is None:
+        with pytest.raises(ValueError) as err:
+            fitness(edge, hidden, tolerance)
+        assert str(err.value) == f"not an unsigned decimal or ratio: {tolerance!r}"
+    else:
+        assert fitness(edge, hidden, tolerance).fit is fit
 
 
 @pytest.mark.parametrize("weight", [0, -5, True], ids=["zero", "negative", "bool"])

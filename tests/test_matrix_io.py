@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conicroute.dijkstra import shortest_paths
 from conicroute.errors import (
     DuplicateOffset,
     MalformedHeader,
@@ -27,6 +28,7 @@ from conicroute.matrix_io import (
 )
 
 from conftest import label_id
+from test_invention import _parallel_graph, parallel_conic_graphs
 
 
 def test_parse_hospital_fixture(matrix_text):
@@ -255,6 +257,18 @@ def test_parse_reads_back_every_emitted_matrix(matrix):
 @given(matrices(valid=True))
 def test_from_graph_reads_back_every_built_matrix(matrix):
     assert from_graph(to_graph(matrix)) == matrix
+
+
+@settings(max_examples=200)
+@given(parallel_conic_graphs())
+@example(_parallel_graph()[0])  # s reaches d by 3 and by 5: the cell is 3
+def test_roundtrip_keeps_distances_over_parallel_edges(g):
+    again = to_graph(from_graph(g))
+    for source in g.sources():
+        dist = shortest_paths(g, source.id).dist
+        dist_again = shortest_paths(again, label_id(again, source.label)).dist
+        assert {node.label: dist[node.id] for node in g.nodes} == {
+            node.label: dist_again[node.id] for node in again.nodes}
 
 
 @st.composite

@@ -8,9 +8,11 @@ File layout (UTF-8, comma-separated, LF):
     ...
 
 Destination offsets are positive and strictly increasing; an empty cell
-means "no edge". Every number in a file is ASCII ``-?[0-9]+``. Hidden paths
-travel in their own CSV with the header ``from,to,true_weight``, one row
-per unordered pair of distinct destinations.
+means "no edge", so a MatrixRow keeps only its populated cells, and past
+one C-level pass over the text, parsing and building work per populated
+cell. Every number in a file is ASCII ``-?[0-9]+``. Hidden paths travel in
+their own CSV with the header ``from,to,true_weight``, one row per
+unordered pair of distinct destinations.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     ConicRouteError,
@@ -37,7 +40,7 @@ from .invention import HiddenPath
 class MatrixRow:
     source_label: str
     source_offset: int
-    cells: tuple[int | None, ...]
+    cells: tuple[tuple[int, int], ...]  # (column, weight), columns ascending
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def _records(text: str) -> list[tuple[int, list[str]]]:
 
 
 def parse_build_matrix(text: str) -> BuildMatrix:
-    """Parse transition-matrix CSV text into a BuildMatrix.
+    """Parse transition-matrix CSV text into a BuildMatrix of populated cells.
 
     Every parse failure carries the 1-based physical line it was found on,
     the last one of a record that spans lines.
@@ -116,11 +119,11 @@ def parse_build_matrix(text: str) -> BuildMatrix:
         if last_offset is not None:
             _check_increasing(last_offset, offset, line, "source")
         last_offset = offset
-        cells = tuple(
-            None if tok == "" else _int_cell(tok, line, "cell")
-            for tok in record[2:]
-        )
-        rows.append(MatrixRow(record[0], offset, cells))
+        cells, at = [], 1
+        for tok in filter(None, islice(record, 2, None)):
+            at = record.index(tok, at + 1)  # it passes over "" only: tok's own field
+            cells.append((at - 2, _int_cell(tok, line, "cell")))
+        rows.append(MatrixRow(record[0], offset, tuple(cells)))
     return BuildMatrix(labels, offsets, tuple(rows))
 
 
@@ -135,7 +138,9 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     writer.writerow(["destinations", *matrix.destination_labels])
     writer.writerow(["offsets", *matrix.destination_offsets])
     for row in matrix.rows:
-        cells = ["" if c is None else c for c in row.cells]
+        cells = [""] * len(matrix.destination_labels)
+        for column, weight in row.cells:
+            cells[column] = weight
         writer.writerow([row.source_label, row.source_offset, *cells])
     return out.getvalue()
 
@@ -144,10 +149,10 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     """Lenient graph construction: offending nodes/edges become violations.
 
     Rows become source nodes, columns destination nodes, populated cells
-    original edges. Anything the graph rejects is skipped and recorded;
-    add_node and add_edge are the only place the graph rules are checked,
-    so the returned graph is always frozen and valid, and the violations
-    are the whole report (graph.validate of it is empty).
+    original edges. Anything the graph rejects, or a cell in no column, is
+    skipped and recorded; add_node and add_edge are the only place the graph
+    rules are checked, so the returned graph is always frozen and valid, and
+    the violations are the whole report (graph.validate of it is empty).
     """
     g = ConicGraph()
     violations: list[Violation] = []
@@ -169,9 +174,11 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     for src, row in zip(source_ids, matrix.rows):
         if src is None:
             continue
-        for dst, cell in zip(dest_ids, row.cells):
-            if cell is not None and dst is not None:
-                attempt(g.add_edge, src, dst, cell)
+        for column, weight in row.cells:
+            if not 0 <= column < len(dest_ids):
+                violations.append(Violation("UnknownNode", f"no destination in column {column}"))
+            elif dest_ids[column] is not None:
+                attempt(g.add_edge, src, dest_ids[column], weight)
     return g.freeze(), violations
 
 
@@ -189,12 +196,12 @@ def from_graph(g: ConicGraph) -> BuildMatrix:
     column = {node.id: i for i, node in enumerate(dests)}
     rows = []
     for source in sorted(g.sources(), key=lambda n: n.offset):
-        cells: list[int | None] = [None] * len(dests)
+        lightest: dict[int, int] = {}
         for edge in g.out_edges(source.id):
             if edge.provenance is Provenance.ORIGINAL and edge.dst in column:
                 i = column[edge.dst]
-                cells[i] = min(edge.weight, cells[i] or edge.weight)  # weights are > 0
-        rows.append(MatrixRow(source.label, source.offset, tuple(cells)))
+                lightest[i] = min(edge.weight, lightest.get(i, edge.weight))
+        rows.append(MatrixRow(source.label, source.offset, tuple(sorted(lightest.items()))))
     return BuildMatrix(
         tuple(n.label for n in dests),
         tuple(n.offset for n in dests),

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conicroute import matrix_io
 from conicroute.dijkstra import shortest_paths
 from conicroute.errors import (
     DuplicateOffset,
@@ -15,7 +18,7 @@ from conicroute.errors import (
     RaggedRow,
     ValidationFailed,
 )
-from conicroute.graph import Provenance
+from conicroute.graph import Provenance, Violation
 from conicroute.matrix_io import (
     BuildMatrix,
     MatrixRow,
@@ -35,11 +38,10 @@ def test_parse_hospital_fixture(matrix_text):
     matrix = parse_build_matrix(matrix_text)
     assert len(matrix.destination_labels) == 8
     assert len(matrix.rows) == 4
-    assert sum(c is not None for row in matrix.rows for c in row.cells) == 8
+    assert sum(len(row.cells) for row in matrix.rows) == 8
     assert matrix.destination_offsets == (1, 2, 3, 4, 5, 6, 7, 8)
     assert matrix.rows[0].source_label == "Rumuomasi"
-    assert matrix.rows[0].cells[0] == 312
-    assert matrix.rows[0].cells[2] is None
+    assert matrix.rows[0].cells == ((0, 312), (1, 771))  # column 2 (PC) is empty
 
 
 def test_parse_header_only_is_valid():
@@ -107,7 +109,7 @@ def test_a_number_outside_ascii_digits_is_a_non_integer_cell(hospital_graph, fie
 def test_ascii_digits_with_a_leading_minus_or_zeros_are_integers():
     matrix = parse_build_matrix("destinations,A,B\noffsets,1,02\nS1,-0,007,-3\n")
     assert matrix.destination_offsets == (1, 2)
-    assert matrix.rows == (MatrixRow("S1", 0, (7, -3)),)
+    assert matrix.rows == (MatrixRow("S1", 0, ((0, 7), (1, -3))),)
 
 
 def test_parse_duplicate_destination_offset():
@@ -188,6 +190,79 @@ def test_build_graph_collects_all_violations():
     assert g.edge_count == 1  # the offending cells were skipped
 
 
+def _wide_text(n_dest: int, *rows: str) -> str:
+    """A matrix of n_dest destinations; each row is '<label>,<offset>,' and
+    the text of its cells."""
+    return "".join([f"destinations,{','.join(f'd{j}' for j in range(n_dest))}\n",
+                    f"offsets,{','.join(str(j + 1) for j in range(n_dest))}\n",
+                    *(row + "\n" for row in rows)])
+
+
+def test_ingestion_reads_only_the_populated_cells(monkeypatch):
+    rng = random.Random(21)
+    n_dest, rows, expected = 2000, [], []
+    for i in range(3):  # 20 of 2,000 cells a row: 1% populated
+        pairs = tuple(zip(sorted(rng.sample(range(n_dest), 20)), rng.sample(range(1, 999), 20)))
+        cells = [""] * n_dest
+        for column, weight in pairs:
+            cells[column] = str(weight)
+        rows.append(f"s{i},{i}," + ",".join(cells))
+        expected.append(MatrixRow(f"s{i}", i, pairs))
+    read, int_cell = [], matrix_io._int_cell
+
+    def counting(token, line, what):
+        read.append(token)
+        return int_cell(token, line, what)
+
+    monkeypatch.setattr(matrix_io, "_int_cell", counting)
+    matrix = parse_build_matrix(_wide_text(n_dest, *rows))
+    assert matrix.rows == tuple(expected)
+    assert len(read) == n_dest + 3 + 60  # offsets, source offsets, populated cells
+    assert "" not in read
+    assert to_graph(matrix).edge_count == 60
+
+
+@pytest.mark.parametrize("token", ["x", " 3", "1_0"])
+def test_a_bad_cell_after_thousands_of_empty_cells_is_reported(token):
+    cells = ",".join([""] * 2997 + [token, "", "y"])  # the first bad cell wins
+    text = _wide_text(3000, "S1,0," + "," * 2999, "S2,1," + cells)
+    with pytest.raises(NonIntegerCell) as err:
+        parse_build_matrix(text)
+    assert str(err.value) == f"line 4: cell {token!r} is not an integer"
+
+
+@pytest.mark.parametrize("token", ["x", " 3", "1_0"])
+def test_a_bad_cell_after_a_label_that_spans_lines_is_reported(token):
+    cells = ",".join([""] * 2997 + [token, "", "y"])
+    text = _wide_text(3000, '"S\n1",0,' + "," * 2999, '"S\n2",1,' + cells)
+    with pytest.raises(NonIntegerCell) as err:
+        parse_build_matrix(text)
+    assert str(err.value) == f"line 6: cell {token!r} is not an integer"
+
+
+def test_a_quoted_number_is_an_edge_and_a_quoted_empty_cell_is_no_edge():
+    matrix = parse_build_matrix('destinations,A,B,C\noffsets,1,2,3\nS,0,"5","",7\n')
+    assert matrix.rows == (MatrixRow("S", 0, ((0, 5), (2, 7))),)
+
+
+def test_two_cells_of_one_weight_keep_their_columns():
+    matrix = parse_build_matrix("destinations,A,B,C,D\noffsets,1,2,3,4\nS,0,,15,,15\n")
+    assert matrix.rows == (MatrixRow("S", 0, ((1, 15), (3, 15))),)
+    g, violations = build_graph(matrix)
+    assert violations == [Violation("EqualAdjacentWeight",
+                                    "source 'S' already has an edge of weight 15")]
+    assert [(g.node(e.dst).label, e.weight) for e in g.edges] == [("B", 15)]
+
+
+@pytest.mark.parametrize("column", [-1, 2])
+def test_build_graph_records_a_cell_in_no_column(column):
+    # parsing never yields such a cell, but a hand-built row can
+    row = MatrixRow("S", 0, ((0, 5), (column, 7), (1, 9)))
+    g, violations = build_graph(BuildMatrix(("A", "B"), (1, 2), (row,)))
+    assert violations == [Violation("UnknownNode", f"no destination in column {column}")]
+    assert [(g.node(e.dst).label, e.weight) for e in g.edges] == [("A", 5), ("B", 9)]
+
+
 def test_roundtrip_is_lossless(matrix_text):
     matrix = parse_build_matrix(matrix_text)
     g = to_graph(matrix)
@@ -224,6 +299,11 @@ def test_roundtrip_random_conic_graphs():
         assert emit_build_matrix(from_graph(g2)) == text
 
 
+def populated(cells) -> tuple[tuple[int, int], ...]:
+    """The (column, weight) pairs of a dense row, None meaning no edge."""
+    return tuple((column, w) for column, w in enumerate(cells) if w is not None)
+
+
 @st.composite
 def matrices(draw, valid: bool) -> BuildMatrix:
     """A build matrix; when valid, one that to_graph accepts whole."""
@@ -242,7 +322,7 @@ def matrices(draw, valid: bool) -> BuildMatrix:
     for label, offset in zip(labels[n_dest:], ascending(0 if valid else -10**9, n_src)):
         weights = draw(st.lists(cell, min_size=n_dest, max_size=n_dest, unique=valid))
         present = draw(st.lists(st.booleans(), min_size=n_dest, max_size=n_dest))
-        rows.append(MatrixRow(label, offset, tuple(
+        rows.append(MatrixRow(label, offset, populated(
             w if keep else None for w, keep in zip(weights, present))))
     return BuildMatrix(tuple(labels[:n_dest]), ascending(1, n_dest), tuple(rows))
 
@@ -279,7 +359,7 @@ def canonical_texts(draw) -> str:
     positive = st.integers(1, 10**4300 - 1)
     number = positive | positive.map(lambda w: -w) | st.just(0)
     offsets = sorted(draw(st.sets(positive, min_size=n_dest, max_size=n_dest)))
-    rows = [MatrixRow(draw(st.text()), offset, tuple(
+    rows = [MatrixRow(draw(st.text()), offset, populated(
                 draw(st.lists(st.none() | number, min_size=n_dest, max_size=n_dest))))
             for offset in sorted(draw(st.sets(number, min_size=n_src, max_size=n_src)))]
     labels = draw(st.lists(st.text(min_size=1), min_size=n_dest, max_size=n_dest))

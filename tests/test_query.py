@@ -32,10 +32,7 @@ def matrices(draw) -> BuildMatrix:
         # a source's edges weigh distinct amounts (axiom of distinct paths)
         weights = draw(st.lists(st.integers(1, 60), min_size=len(columns),
                                 max_size=len(columns), unique=True))
-        cells = [None] * n_dst
-        for column, weight in zip(sorted(columns), weights):
-            cells[column] = weight
-        rows.append(MatrixRow(f"s{i}", i, tuple(cells)))
+        rows.append(MatrixRow(f"s{i}", i, tuple(zip(sorted(columns), weights))))
     return BuildMatrix(tuple(f"d{j}" for j in range(n_dst)), tuple(offsets), tuple(rows))
 
 
@@ -43,7 +40,7 @@ def reference_query(matrix: BuildMatrix, row: MatrixRow,
                     hidden: list[tuple[str, str, int]], allowable: int | None):
     """best and invented alternates read straight off the matrix row."""
     labels, offsets = matrix.destination_labels, matrix.destination_offsets
-    cells = [(w, offsets[j], j) for j, w in enumerate(row.cells) if w is not None]
+    cells = [(w, offsets[j], j) for j, w in row.cells]
     best = None
     if cells:
         weight, _, j = min(cells)

@@ -20,6 +20,8 @@ from conicroute.graph import ConicGraph, Violation
 from conicroute.invention import FitnessReport, PolicyThreshold, invent_all
 from conicroute.matrix_io import BuildMatrix, MatrixRow, build_graph
 
+from test_matrix_io import populated
+
 
 # --- the payload builders the renderers replaced ---------------------------------
 
@@ -158,7 +160,7 @@ def graphs(draw):
     split = draw(st.integers(0, len(names)))
     sources, destinations = names[:split], names[split:]
     row = st.lists(st.none() | weights, min_size=len(destinations), max_size=len(destinations))
-    rows = tuple(MatrixRow(label, offset, tuple(draw(row)))
+    rows = tuple(MatrixRow(label, offset, populated(draw(row)))
                  for offset, label in enumerate(sources))
     offsets = tuple(range(1, len(destinations) + 1))
     graph, _ = build_graph(BuildMatrix(tuple(destinations), offsets, rows))

@@ -10,8 +10,8 @@ stdout early (``| head``) ends the run with exit 0 and no message. JSON
 output is the machine format: exactly the text ``json.dumps(payload,
 indent=2)`` writes, plus a newline, byte-identical for identical inputs. A
 renderer per payload shape writes it straight from the engine's results,
-one top-level entry at a time; ``--format table`` renders the same results
-for people.
+one top-level entry at a time (``invent`` and ``query --all-sources``: one
+source at a time); ``--format table`` renders the same results for people.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dijkstra import path_to, shortest_paths
 from .dot import export_dot
@@ -56,9 +55,9 @@ PARSE_ERROR = 2
 QUERY_ERROR = 3
 
 
-@dataclass(frozen=True)
-class Alternate:
-    """One invented edge of the queried source, optionally fitness-graded."""
+class Alternate(NamedTuple):
+    """One invented edge of the queried source, optionally fitness-graded;
+    like QueryResult, an immutable tuple of its fields."""
 
     src_label: str
     dst_label: str
@@ -67,8 +66,7 @@ class Alternate:
     fitness: FitnessReport | None
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     source: str
     best: "tuple[str, int, list[str]] | None"  # destination, distance, path labels
     invented_alternates: list[Alternate]
@@ -112,13 +110,9 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
         for edge in invent_for_source(graph, source.id, policy):
             path = by_pair.get(frozenset((edge.src, edge.dst)))
             alternates.append(Alternate(
-                src_label=nodes[edge.src].label,
-                dst_label=nodes[edge.dst].label,
-                weight=edge.weight,
-                pair_weights=edge.pair_weights,
-                fitness=None if path is None else fitness(edge, path, tolerance),
-            ))
-    return QueryResult(source=source.label, best=best, invented_alternates=alternates)
+                nodes[edge.src].label, nodes[edge.dst].label, edge.weight, edge.pair_weights,
+                None if path is None else fitness(edge, path, tolerance)))
+    return QueryResult(source.label, best, alternates)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -184,9 +178,8 @@ def _query_text(result: QueryResult) -> str:
     if result.best is not None:
         destination, distance, path = result.best
         best = _BEST % (_str(destination), distance, _array(list(map(_str, path)), "    "))
-    alternates = [_ALTERNATE % (_str(a.src_label), _str(a.dst_label), a.weight,
-                                *a.pair_weights, _fitness_text(a.fitness))
-                  for a in result.invented_alternates]
+    alternates = [_ALTERNATE % (_str(src), _str(dst), weight, lo, hi, _fitness_text(report))
+                  for src, dst, weight, (lo, hi), report in result.invented_alternates]
     return _QUERY % (_str(result.source), best, _array(alternates, "  "))
 
 
@@ -251,20 +244,20 @@ def _violations_table(violations: list[Violation]) -> Iterator[str]:
     yield "".join(f"{v.code}: {v.detail}\n" for v in violations) or "valid\n"
 
 
-def _invent_json(graph: ConicGraph, inventions: dict[NodeId, list[InventedEdge]]
-                 ) -> Iterator[str]:
+def _invent_json(graph: ConicGraph,
+                 inventions: Iterable[tuple[NodeId, list[InventedEdge]]]) -> Iterator[str]:
     labels = _labels(graph)
     return _top("{}", (
-        labels[source] + ": " + _array([_INVENTION % (labels[e.src], labels[e.dst], e.weight,
-                                                      *e.pair_weights) for e in edges], "  ")
-        for source, edges in inventions.items()
+        labels[source] + ": " + _array([_INVENTION % (labels[src], labels[dst], weight, lo, hi)
+                                        for _, src, dst, weight, (lo, hi) in edges], "  ")
+        for source, edges in inventions
     ))
 
 
-def _invent_table(graph: ConicGraph, inventions: dict[NodeId, list[InventedEdge]]
-                  ) -> Iterator[str]:
+def _invent_table(graph: ConicGraph,
+                  inventions: Iterable[tuple[NodeId, list[InventedEdge]]]) -> Iterator[str]:
     nodes = graph.nodes
-    for source, edges in inventions.items():
+    for source, edges in inventions:
         yield (f"{nodes[source].label}: "
                + (", ".join(f"{nodes[e.src].label}->{nodes[e.dst].label} ({e.weight})"
                             for e in edges) or "none")
@@ -335,7 +328,9 @@ def _query(args) -> int:
 
 def _invent(args) -> int:
     graph = _load_graph(args.matrix)
-    _emit(args, _invent_json, _invent_table, graph, invent_all(graph, args.allowable))
+    # each source's inventions are written before the next source's walk
+    _emit(args, _invent_json, _invent_table, graph,
+          ((s.id, invent_for_source(graph, s.id, args.allowable)) for s in graph.sources()))
     return OK
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import inf
+from typing import NamedTuple
 
 from .errors import EndpointMismatch, NonPositiveWeight, NotASource
 from .graph import ConicGraph, Edge, NodeId, NodeKind, Provenance
@@ -32,9 +33,9 @@ _TOLERANCE = re.compile(r"[0-9]+/[0-9]*[1-9][0-9]*"
                         r"|([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]{1,4})?")
 
 
-@dataclass(frozen=True, slots=True)
-class InventedEdge:
-    """Hypothesised edge between two adjacent destinations of one source."""
+class InventedEdge(NamedTuple):
+    """Hypothesised edge between two adjacent destinations of one source;
+    an immutable tuple of its fields, equal to and hashed as that tuple."""
 
     origin: NodeId                 # the source whose edge pair produced it
     src: NodeId                    # destination with the smaller source edge
@@ -117,8 +118,7 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
             near, far, pair = first.dst, second.dst, (first.weight, second.weight)
         else:
             near, far, pair = second.dst, first.dst, (second.weight, first.weight)
-        invented.append(InventedEdge(origin=source, src=near, dst=far,
-                                     weight=weight, pair_weights=pair))
+        invented.append(InventedEdge(source, near, far, weight, pair))
     return invented
 
 

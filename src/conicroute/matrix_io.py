@@ -128,7 +128,8 @@ def parse_build_matrix(text: str) -> BuildMatrix:
 
 
 def emit_build_matrix(matrix: BuildMatrix) -> str:
-    """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting)."""
+    """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting); a
+    hand-built cell in no destination's column raises ValueError."""
     out = io.StringIO()
     # a writer that ends lines in LF leaves a CR bare, and a reader ends the
     # line there; so a matrix with a CR in a label is quoted throughout
@@ -140,6 +141,8 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     for row in matrix.rows:
         cells = [""] * len(matrix.destination_labels)
         for column, weight in row.cells:
+            if not 0 <= column < len(cells):
+                raise ValueError(f"row {row.source_label!r}: no destination in column {column}")
             cells[column] = weight
         writer.writerow([row.source_label, row.source_offset, *cells])
     return out.getvalue()

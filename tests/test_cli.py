@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import conicroute
 from conicroute import cli
 from conicroute.cli import main
-from conicroute.invention import HiddenPath, InventedEdge, fitness
+from conicroute.invention import FitnessReport, HiddenPath, InventedEdge, fitness
 
 from conftest import HIDDEN_PATH, MATRIX_PATH
 
@@ -367,6 +368,65 @@ def test_invent_command(capsys):
     }]
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("files", ["fixture", "generated"])
+def test_invent_writes_each_source_before_the_next_walk(tmp_path, monkeypatch, files, fmt):
+    matrix = MATRIX if files == "fixture" else _generated_files(tmp_path, 20, 30)[0]
+    out, written = io.StringIO(), []
+    walk = cli.invent_for_source
+
+    def recording_walk(graph, source, policy=None):
+        written.append(out.tell())
+        return walk(graph, source, policy)
+
+    def batch(*args, **kwargs):
+        raise AssertionError("invent called invent_all")
+
+    monkeypatch.setattr(cli, "invent_for_source", recording_walk)
+    monkeypatch.setattr(cli, "invent_all", batch)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["invent", matrix, "--format", fmt]) == 0
+    assert len(written) == len(cli._load_graph(Path(matrix)).sources()) > 1
+    assert all(before < after for before, after in zip(written, written[1:]))
+
+
+_REPORT = FitnessReport(459, 450, 9, Fraction(1, 50), True)
+_ALTERNATE_FIELDS = ("CMC", "MC", 459, (312, 771), _REPORT)
+_ALTERNATE_TEXT = ("Alternate(src_label='CMC', dst_label='MC', weight=459, pair_weights=(312, "
+                   "771), fitness=FitnessReport(invented_weight=459, hidden_weight=450, "
+                   "absolute_error=9, relative_error=Fraction(1, 50), fit=True))")
+
+
+@pytest.mark.parametrize("record, fields, text", [
+    (InventedEdge, {"origin": 0, "src": 1, "dst": 2, "weight": 459, "pair_weights": (312, 771)},
+     "InventedEdge(origin=0, src=1, dst=2, weight=459, pair_weights=(312, 771))"),
+    (cli.Alternate, dict(zip(["src_label", "dst_label", "weight", "pair_weights", "fitness"],
+                             _ALTERNATE_FIELDS)), _ALTERNATE_TEXT),
+    (cli.QueryResult, {"source": "Rumuomasi", "best": ("CMC", 312, ["Rumuomasi", "CMC"]),
+                       "invented_alternates": [cli.Alternate(*_ALTERNATE_FIELDS)]},
+     "QueryResult(source='Rumuomasi', best=('CMC', 312, ['Rumuomasi', 'CMC']), "
+     f"invented_alternates=[{_ALTERNATE_TEXT}])"),
+], ids=["InventedEdge", "Alternate", "QueryResult"])
+def test_a_record_keeps_the_contract_of_the_dataclass_it_was(record, fields, text):
+    by_keyword, by_position = record(**fields), record(*fields.values())
+    assert by_keyword == by_position
+    assert record._fields == tuple(fields)
+    assert repr(by_keyword) == text
+    with pytest.raises(AttributeError):
+        setattr(by_keyword, record._fields[0], None)
+
+    def hashed(value):  # a frozen dataclass hashed the tuple of its fields
+        try:
+            return hash(value)
+        except TypeError:  # a field holds a list
+            return TypeError
+
+    assert hashed(by_keyword) == hashed(tuple(fields.values()))
+    # new with the tuple form: equal to, unpacked and indexed as that tuple
+    assert by_keyword == tuple(fields.values()) == tuple(by_keyword)
+    assert by_keyword[-1] == list(fields.values())[-1]
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export", MATRIX, "--invent")
     assert code == 0
@@ -522,18 +582,21 @@ def test_any_matrix_with_any_hidden_bytes_end_in_a_documented_exit(tmp_path_fact
                    "--hidden", str(base / "paired_hidden.csv")])
 
 
-def _generated_files(tmp_path: Path) -> tuple[str, str]:
-    """A 30 x 40 matrix at 30% fill and hidden paths for every other column pair."""
+def _generated_files(tmp_path: Path, sources: int = 30,
+                     destinations: int = 40) -> tuple[str, str]:
+    """A sources x destinations matrix at 30% fill and hidden paths for every
+    other column pair."""
     rng = random.Random(7)
-    lines = ["destinations," + ",".join(f"D{j}" for j in range(40)),
-             "offsets," + ",".join(str(j + 1) for j in range(40))]
-    for i in range(30):
-        cells = [str(w) if rng.random() < 0.3 else "" for w in rng.sample(range(1, 10_000), 40)]
+    lines = ["destinations," + ",".join(f"D{j}" for j in range(destinations)),
+             "offsets," + ",".join(str(j + 1) for j in range(destinations))]
+    for i in range(sources):
+        cells = [str(w) if rng.random() < 0.3 else ""
+                 for w in rng.sample(range(1, 10_000), destinations)]
         lines.append(f"S{i},{i}," + ",".join(cells))
     matrix, hidden = tmp_path / "matrix.csv", tmp_path / "hidden.csv"
     matrix.write_text("\n".join(lines) + "\n")
     hidden.write_text("from,to,true_weight\n" + "".join(
-        f"D{j},D{j + 1},{rng.randint(1, 9_999)}\n" for j in range(0, 40, 2)))
+        f"D{j},D{j + 1},{rng.randint(1, 9_999)}\n" for j in range(0, destinations - 1, 2)))
     return str(matrix), str(hidden)
 
 

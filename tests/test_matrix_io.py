@@ -263,6 +263,14 @@ def test_build_graph_records_a_cell_in_no_column(column):
     assert [(g.node(e.dst).label, e.weight) for e in g.edges] == [("A", 5), ("B", 9)]
 
 
+@pytest.mark.parametrize("column", [-1, 2])
+def test_emit_refuses_a_cell_in_no_column(column):
+    # column -1 would land on the last destination, and 2 is past the end
+    row = MatrixRow("S", 0, ((0, 5), (column, 7)))
+    with pytest.raises(ValueError, match=f"row 'S': no destination in column {column}$"):
+        emit_build_matrix(BuildMatrix(("A", "B"), (1, 2), (row,)))
+
+
 def test_roundtrip_is_lossless(matrix_text):
     matrix = parse_build_matrix(matrix_text)
     g = to_graph(matrix)

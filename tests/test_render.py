@@ -197,8 +197,8 @@ _OVERFLOWING = QueryResult("s", None, [Alternate("A", "B", 10**400 - 1, (1, 10**
 def test_invent_renderers_write_the_old_payload(graph, allowable):
     inventions = invent_all(graph, None if allowable is None else PolicyThreshold(allowable))
     payload = _invent_payload(graph, inventions)
-    assert "".join(cli._invent_json(graph, inventions)) == _dumps(payload)
-    assert "".join(cli._invent_table(graph, inventions)) == _invent_table(payload)
+    assert "".join(cli._invent_json(graph, inventions.items())) == _dumps(payload)
+    assert "".join(cli._invent_table(graph, inventions.items())) == _invent_table(payload)
 
 
 @settings(max_examples=200)

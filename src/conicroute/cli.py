@@ -4,14 +4,15 @@ Every subcommand reads a matrix, whose graph is bipartite: no node has both
 an in-edge and an out-edge, so there is nothing to contract. Contraction is
 library API only (``build_hierarchy``).
 
-Exit codes: 0 success, 1 usage error, 2 parse or validation failure,
-3 query failure (unknown label or unreachable). A reader that closes
-stdout early (``| head``) ends the run with exit 0 and no message. JSON
-output is the machine format: exactly the text ``json.dumps(payload,
-indent=2)`` writes, plus a newline, byte-identical for identical inputs. A
-renderer per payload shape writes it straight from the engine's results,
-one top-level entry at a time (``invent`` and ``query --all-sources``: one
-source at a time); ``--format table`` renders the same results for people.
+Exit codes: 0 success, 1 usage error, 2 parse, validation or I/O failure
+(an input that cannot be read, output that cannot be written), 3 query
+failure (unknown label or unreachable). A reader that closes stdout early
+(``| head``) ends the run with exit 0 and no message. JSON output is the
+machine format: exactly the text ``json.dumps(payload, indent=2)`` writes,
+plus a newline, byte-identical for identical inputs. A renderer per payload
+shape writes it straight from the engine's results, one top-level entry at
+a time (``invent`` and ``query --all-sources``: one source at a time);
+``--format table`` renders the same results for people.
 """
 
 from __future__ import annotations
@@ -447,6 +448,10 @@ def entrypoint() -> None:
     except BrokenPipeError:  # the reader stopped early; exit flushes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = OK
+    except OSError as exc:  # any other failed write, e.g. to a full disk; _read wraps its own
+        sys.stderr.write(f"conicroute: cannot write output: {exc.strerror}\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = PARSE_ERROR
     sys.exit(code)
 
 

@@ -15,14 +15,13 @@ the one step that accepts an edge by this rule, _accept().
 
 A graph is immutable after freeze(), which drops the state only add_node
 and add_edge read; it and extend() share _seal(), which turns each out-edge
-list into a tuple sorted by target offset. A query stores labels for the
-nodes it reaches only, so it costs its source's fan-out, not the node count.
-Derived edges (shortcuts from contraction, invented edges) never mutate a
-frozen graph in place: extend() returns the graph itself for no edges, else
-a new frozen graph with its own ranks sharing the base's nodes, untouched
-adjacency tuples and original adjacency _original: the base's own sealed
-tuples, set by freeze(). The search without use_invented and the pair walk
-read _original, so neither tests an edge's provenance.
+list into a tuple sorted by target offset. freeze() also sets the original
+view _original, the one place where a run of parallel edges to one node is
+cut to its lightest edge, the one every shortest path takes. Derived edges
+(shortcuts, invented edges) never mutate a frozen graph: extend() returns
+it for none, else a new frozen graph with its own ranks that shares the
+base's nodes, untouched adjacency tuples and _original. The search without
+use_invented, the pair walk and from_graph read _original.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ import enum
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import (
     CycleCreated,
@@ -149,6 +150,11 @@ class ConicGraph:
             del self._by_offset, self._out_weights
             self._seal()
             self._original = self._out  # every edge so far is original
+            # fewer (src, dst) pairs than edges: cut each parallel run to its lightest edge
+            if sum(map(len, map(set, self._preds.values()))) < len(self._edges):
+                cuts = [tuple(min(run, key=attrgetter("weight")) for _, run in
+                              groupby(edges, self._offset_key)) for edges in self._out]
+                self._original = [c if len(c) < len(e) else e for c, e in zip(cuts, self._out)]
             self._frozen = True
         return self
 

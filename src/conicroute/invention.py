@@ -1,12 +1,12 @@
 """Invention of destination-to-destination edges by absolute edge difference.
 
-For one source, its original edges are walked in ascending target offset
-order as consecutive pairs; on a matrix source the targets are its
-destinations, on a general DAG any nodes. Within a pair the smaller edge
-is the found short path, and a new edge is invented from its target to the
-other's, weighing the absolute difference of the two. The pair walk is
-the one place an invention's rules hold: a pair must reach two different
-nodes, and an optional policy cap suppresses any heavier invention.
+For one source, the edges of its original view are walked in ascending
+target offset order as consecutive pairs; on a matrix source the targets
+are its destinations, on a general DAG any nodes. The view keeps one edge
+per target, the lightest of a parallel run, so a pair's edges reach two
+different nodes. Within a pair the smaller edge is the found short path,
+and a new edge is invented from its target to the other's, weighing their
+absolute difference. The pair walk alone applies the optional policy cap.
 
 An InventedEdge is a plain record, like a contraction Shortcut. add_edge
 keeps a source's weights distinct, so its weight, on the lower triangle
@@ -101,7 +101,7 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
     """Invent edges between consecutive destination pairs of one source.
 
     One pass, one evaluation per consecutive pair of the source's original
-    edges; a pair over the cap or with both edges to one node is skipped.
+    view (one edge per target); a pair over the cap is skipped.
     """
     graph._require_frozen()
     node = graph.node(source)
@@ -112,7 +112,7 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
     # frozen and node are checked above: read the original adjacency unchecked
     for first, second in pairwise(graph._original[source]):
         weight = absolute_edge_difference(first.weight, second.weight)
-        if weight > cap or first.dst == second.dst:
+        if weight > cap:
             continue
         if first.weight < second.weight:
             near, far, pair = first.dst, second.dst, (first.weight, second.weight)

@@ -32,7 +32,7 @@ from .errors import (
     UnknownNode,
     ValidationFailed,
 )
-from .graph import ConicGraph, NodeId, NodeKind, Provenance, Violation
+from .graph import ConicGraph, NodeId, NodeKind, Violation
 from .invention import HiddenPath
 
 
@@ -194,22 +194,15 @@ def to_graph(matrix: BuildMatrix) -> ConicGraph:
 
 
 def from_graph(g: ConicGraph) -> BuildMatrix:
-    """Re-emit a graph in build-matrix form: original edges, lightest of parallels."""
+    """Re-emit a frozen graph in build-matrix form: its sources' original view."""
+    g._require_frozen()
     dests = sorted(g.destinations(), key=lambda n: n.offset)
     column = {node.id: i for i, node in enumerate(dests)}
-    rows = []
-    for source in sorted(g.sources(), key=lambda n: n.offset):
-        lightest: dict[int, int] = {}
-        for edge in g.out_edges(source.id):
-            if edge.provenance is Provenance.ORIGINAL and edge.dst in column:
-                i = column[edge.dst]
-                lightest[i] = min(edge.weight, lightest.get(i, edge.weight))
-        rows.append(MatrixRow(source.label, source.offset, tuple(sorted(lightest.items()))))
-    return BuildMatrix(
-        tuple(n.label for n in dests),
-        tuple(n.offset for n in dests),
-        tuple(rows),
-    )
+    # a view holds one edge per target, sorted by offset: columns come out ascending
+    rows = tuple(MatrixRow(source.label, source.offset, tuple(
+        (column[e.dst], e.weight) for e in g._original[source.id] if e.dst in column))
+        for source in sorted(g.sources(), key=lambda n: n.offset))
+    return BuildMatrix(tuple(n.label for n in dests), tuple(n.offset for n in dests), rows)
 
 
 def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], HiddenPath]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -639,6 +640,22 @@ def test_stdout_closed_by_its_reader_exits_0_quietly(argv):
         os.close(write_end)
     assert child.returncode == 0
     assert child.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["query", MATRIX, "--all-sources"], ["export", MATRIX],
+                                  ["invent", MATRIX], ["build", MATRIX]],
+                         ids=["query_all_sources", "export", "invent", "build"])
+def test_stdout_that_cannot_be_written_exits_2_with_one_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(conicroute.__file__).parents[1]))
+    with open("/dev/full", "wb") as full:  # every write to it fails with ENOSPC
+        child = subprocess.run(
+            [sys.executable, "-c", "from conicroute.cli import entrypoint; entrypoint()", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert child.returncode == 2
+    message = f"conicroute: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert child.stderr == message.encode()
 
 
 # --- output pinned by digest ------------------------------------------------------

@@ -419,6 +419,20 @@ def test_freeze_blocks_mutation_and_queries_still_work():
     g.freeze()  # idempotent
 
 
+def test_freeze_cuts_only_the_runs_of_parallel_edges(hospital_graph):
+    g = ConicGraph()
+    s, t = (g.add_node(label, NodeKind.SOURCE, i) for i, label in enumerate("st"))
+    d, e = (g.add_node(label, NodeKind.DESTINATION, i + 1) for i, label in enumerate("de"))
+    for src, dst, weight in ((s, d, 5), (s, d, 3), (s, e, 9), (t, d, 4), (t, e, 2)):
+        g.add_edge(src, dst, weight)
+    g.freeze()
+    # out_edges keeps every edge; the original view keeps the lightest of each run
+    assert g.neighbors_ascending(s) == [(d, 5), (d, 3), (e, 9)]
+    assert [(edge.dst, edge.weight) for edge in g._original[s]] == [(d, 3), (e, 9)]
+    assert g._original[t] is g.out_edges(t)  # no run: the sealed tuple itself
+    assert hospital_graph._original is hospital_graph._out  # no run anywhere
+
+
 def test_neighbors_ascending_hospital_rows(hospital_graph):
     g = hospital_graph
     rum = label_id(g, "Rumuomasi")

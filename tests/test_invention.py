@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conicroute.invention as invention
 from conicroute.cli import cmd_query
+from conicroute.dijkstra import shortest_paths
 from conicroute.dot import export_dot
 from conicroute.errors import (
     EndpointMismatch,
@@ -225,18 +226,27 @@ def parallel_conic_graphs(draw) -> ConicGraph:
     return g.freeze()
 
 
+def _lightest_per_target(g: ConicGraph, origin: int) -> list:
+    """origin's lightest edge to each target, in target-offset order."""
+    lightest = {}
+    for edge in g.out_edges(origin):  # a graph fresh from freeze() holds no derived edge
+        if edge.dst not in lightest or edge.weight < lightest[edge.dst].weight:
+            lightest[edge.dst] = edge
+    return list(lightest.values())  # a dict keeps the offset order it first saw
+
+
 @settings(max_examples=300)
 @given(parallel_conic_graphs())
 def test_every_invention_keeps_the_pair_walk_rules(g):
     for origin, inventions in invent_all(g).items():
-        originals = g.out_edges(origin)  # a graph fresh from freeze() holds no derived edge
-        pairs = [(a, b) for a, b in zip(originals, originals[1:]) if a.dst != b.dst]
+        originals = _lightest_per_target(g, origin)
+        pairs = list(zip(originals, originals[1:]))
         assert len(inventions) == len(pairs)
         for e, (a, b) in zip(inventions, pairs):
             lo, hi = e.pair_weights
             assert 0 < lo < hi and lo + e.weight == hi
             assert e.src != e.dst
-            # two consecutive original edges of origin, to different nodes
+            # the lightest edges of origin to two consecutive targets
             lighter, heavier = sorted((a, b), key=lambda edge: edge.weight)
             assert (lo, hi) == (lighter.weight, heavier.weight)
             assert (e.origin, e.src, e.dst) == (origin, lighter.dst, heavier.dst)
@@ -253,17 +263,38 @@ def _parallel_graph() -> tuple[ConicGraph, int, int, int]:
     return g.freeze(), s, d, e
 
 
+def _later_lighter_graph() -> ConicGraph:
+    """s reaches d by 5 and then 3, and e by 2 and then 1: each run's later edge is lighter."""
+    g = ConicGraph()
+    s = g.add_node("s", NodeKind.SOURCE, 0)
+    d = g.add_node("d", NodeKind.DESTINATION, 1)
+    e = g.add_node("e", NodeKind.DESTINATION, 2)
+    for dst, weight in ((d, 5), (d, 3), (e, 2), (e, 1)):
+        g.add_edge(s, dst, weight)
+    return g.freeze()
+
+
 def test_parallel_edges_to_one_node_invent_nothing_between_them():
     g, s, d, e = _parallel_graph()
     inventions = invent_for_source(g, s)
-    # the sealed order pairs d's later edge with e
-    assert inventions == [InventedEdge(origin=s, src=d, dst=e, weight=4, pair_weights=(5, 9))]
+    # d's lightest edge, 3, stands for its run and pairs with e
+    assert inventions == [InventedEdge(s, d, e, 6, (3, 9))]
     assert [(a.src_label, a.dst_label) for a in cmd_query(g, "s").invented_alternates] == [
         ("d", "e")]
     assert "d -> d" not in export_dot(g, invented=inventions)
     extended = g.extend([edge.as_edge() for edge in inventions])
     assert [(x.src, x.dst) for x in extended.edges if x.provenance is Provenance.INVENTED] == [
         (d, e)]
+
+
+@settings(max_examples=300)
+@given(parallel_conic_graphs())
+@example(_later_lighter_graph())  # e -> d from (1, 3), where pairing in order took (2, 3)
+def test_every_invention_pairs_the_distances_of_its_endpoints(g):
+    for origin, inventions in invent_all(g).items():
+        dist = shortest_paths(g, origin).dist
+        for e in inventions:
+            assert e.pair_weights == (dist[e.src], dist[e.dst])
 
 
 def test_fitness_exact_match():

@@ -12,13 +12,15 @@ from conicroute import matrix_io
 from conicroute.dijkstra import shortest_paths
 from conicroute.errors import (
     DuplicateOffset,
+    GraphNotFrozen,
     MalformedHeader,
     NonIntegerCell,
     ParseError,
     RaggedRow,
     ValidationFailed,
 )
-from conicroute.graph import Provenance, Violation
+from conicroute.graph import ConicGraph, NodeKind, Provenance, Violation
+from conicroute.invention import invent_all
 from conicroute.matrix_io import (
     BuildMatrix,
     MatrixRow,
@@ -31,7 +33,7 @@ from conicroute.matrix_io import (
 )
 
 from conftest import label_id
-from test_invention import _parallel_graph, parallel_conic_graphs
+from test_invention import _later_lighter_graph, _parallel_graph, parallel_conic_graphs
 
 
 def test_parse_hospital_fixture(matrix_text):
@@ -357,6 +359,30 @@ def test_roundtrip_keeps_distances_over_parallel_edges(g):
         dist_again = shortest_paths(again, label_id(again, source.label)).dist
         assert {node.label: dist[node.id] for node in g.nodes} == {
             node.label: dist_again[node.id] for node in again.nodes}
+
+
+def _inventions_by_label(g) -> dict:
+    label = {node.id: node.label for node in g.nodes}
+    return {label[origin]: [(label[e.src], label[e.dst], e.weight, e.pair_weights)
+                            for e in inventions]
+            for origin, inventions in invent_all(g).items()}
+
+
+@settings(max_examples=300)
+@given(parallel_conic_graphs())
+@example(_later_lighter_graph())  # e -> d from (1, 3) on both sides of the round trip
+def test_roundtrip_keeps_inventions_over_parallel_edges(g):
+    assert _inventions_by_label(to_graph(from_graph(g))) == _inventions_by_label(g)
+
+
+@pytest.mark.parametrize("with_source", [False, True], ids=["no_source", "source"])
+def test_from_graph_refuses_an_unfrozen_graph(with_source):
+    g = ConicGraph()
+    d = g.add_node("d", NodeKind.DESTINATION, 1)
+    if with_source:
+        g.add_edge(g.add_node("s", NodeKind.SOURCE, 0), d, 3)
+    with pytest.raises(GraphNotFrozen):
+        from_graph(g)
 
 
 @st.composite

@@ -18,6 +18,7 @@ a time (``invent`` and ``query --all-sources``: one source at a time);
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -442,6 +443,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def entrypoint() -> None:
+    # Python sets the stream of a closed fd to None
+    if sys.stderr is None:  # messages go nowhere, the exit codes stay
+        sys.stderr = open(os.devnull, "w")
+    if sys.stdout is None:  # no write can succeed
+        sys.stderr.write(f"conicroute: cannot write output: {os.strerror(errno.EBADF)}\n")
+        sys.exit(PARSE_ERROR)
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

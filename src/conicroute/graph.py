@@ -11,7 +11,9 @@ Every node holds a topological rank for as long as the graph lives
 rank is accepted in O(1). Only an edge against the rank order is searched,
 and only within the rank window between its endpoints; it either closes a
 cycle or reorders the nodes of that window. add_edge and extend() share
-the one step that accepts an edge by this rule, _accept().
+the one step that accepts an edge by this rule, _accept(). A matrix row
+whose every edge add_edge would accept, forward in rank, skips it:
+_add_row adds the whole row at once, for build_graph.
 
 A graph is immutable after freeze(), which drops the state only add_node
 and add_edge read; it and extend() share _seal(), which turns each out-edge
@@ -30,7 +32,7 @@ import enum
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter
 
 from .errors import (
@@ -141,6 +143,22 @@ class ConicGraph:
         self._accept(Edge(src, dst, weight, Provenance.ORIGINAL))
         self._out_weights[src].add(weight)
         return len(self._edges) - 1
+
+    def _add_row(self, src: NodeId, targets: tuple[NodeId, ...], weights: tuple[int, ...]) -> bool:
+        """add_edge(src, targets[i], weights[i]) for a matrix row's distinct targets in
+        one step, when every call would succeed; else add nothing and return False."""
+        seen, rank, preds = self._out_weights[src], self._rank, self._preds
+        if not (set(map(type, weights)) == {int} and min(weights) > 0  # _check_edge: an int > 0
+                and len(seen.union(weights)) == len(seen) + len(weights)  # add_edge: none twice
+                and rank[src] < min(map(rank.__getitem__, targets))):  # _accept: forward, no cycle
+            return False
+        edges = list(map(Edge, repeat(src), targets, weights))
+        self._edges += edges
+        self._out[src] += edges
+        for dst in targets:
+            preds[dst].append(src)
+        seen.update(weights)
+        return True
 
     def freeze(self) -> "ConicGraph":
         """Sort adjacency by target offset and seal the graph. Idempotent."""

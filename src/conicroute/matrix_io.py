@@ -21,6 +21,7 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import islice
+from operator import lt
 
 from .errors import (
     ConicRouteError,
@@ -129,7 +130,8 @@ def parse_build_matrix(text: str) -> BuildMatrix:
 
 def emit_build_matrix(matrix: BuildMatrix) -> str:
     """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting); a
-    hand-built cell in no destination's column raises ValueError."""
+    hand-built cell in no destination's column, or in a column that does not
+    exceed the one before it, raises ValueError."""
     out = io.StringIO()
     # a writer that ends lines in LF leaves a CR bare, and a reader ends the
     # line there; so a matrix with a CR in a label is quoted throughout
@@ -139,11 +141,13 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     writer.writerow(["destinations", *matrix.destination_labels])
     writer.writerow(["offsets", *matrix.destination_offsets])
     for row in matrix.rows:
-        cells = [""] * len(matrix.destination_labels)
+        cells, last = [""] * len(matrix.destination_labels), -1
         for column, weight in row.cells:
             if not 0 <= column < len(cells):
                 raise ValueError(f"row {row.source_label!r}: no destination in column {column}")
-            cells[column] = weight
+            if column <= last:
+                raise ValueError(f"row {row.source_label!r}: column {column} after column {last}")
+            cells[column], last = weight, column
         writer.writerow([row.source_label, row.source_offset, *cells])
     return out.getvalue()
 
@@ -152,10 +156,13 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     """Lenient graph construction: offending nodes/edges become violations.
 
     Rows become source nodes, columns destination nodes, populated cells
-    original edges. Anything the graph rejects, or a cell in no column, is
-    skipped and recorded; add_node and add_edge are the only place the graph
-    rules are checked, so the returned graph is always frozen and valid, and
-    the violations are the whole report (graph.validate of it is empty).
+    original edges. Anything the graph rejects, a cell in no column, or one
+    whose column does not exceed the one before it (RaggedRow), is skipped
+    and recorded. A row whose every cell add_edge would accept is added in
+    one step by the graph's _add_row; any other row goes cell by cell through
+    add_edge, which alone decides each violation's code, detail and order.
+    So the returned graph is always frozen and valid, and the violations are
+    the whole report (graph.validate of it is empty).
     """
     g = ConicGraph()
     violations: list[Violation] = []
@@ -175,13 +182,24 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     dest_ids = [attempt(g.add_node, label, NodeKind.DESTINATION, offset)
                 for label, offset in zip(matrix.destination_labels, matrix.destination_offsets)]
     for src, row in zip(source_ids, matrix.rows):
-        if src is None:
+        if src is None or not row.cells:
             continue
+        columns, weights = zip(*row.cells)
+        # a clean row's columns ascend within the header, so its ends bound them
+        if 0 <= columns[0] and columns[-1] < len(dest_ids) and all(map(lt, columns, columns[1:])):
+            targets = tuple(map(dest_ids.__getitem__, columns))
+            if None not in targets and g._add_row(src, targets, weights):
+                continue
+        last = -1
         for column, weight in row.cells:
             if not 0 <= column < len(dest_ids):
                 violations.append(Violation("UnknownNode", f"no destination in column {column}"))
-            elif dest_ids[column] is not None:
-                attempt(g.add_edge, src, dest_ids[column], weight)
+            elif column <= last:
+                violations.append(Violation("RaggedRow", f"column {column} after column {last}"))
+            else:
+                last = column
+                if dest_ids[column] is not None:
+                    attempt(g.add_edge, src, dest_ids[column], weight)
     return g.freeze(), violations
 
 

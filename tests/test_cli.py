@@ -658,6 +658,37 @@ def test_stdout_that_cannot_be_written_exits_2_with_one_line(argv):
     assert child.stderr == message.encode()
 
 
+def _child_with_fd_closed(argv: list[str], fd: int | None) -> subprocess.CompletedProcess:
+    """The CLI as a child whose fd 1 or 2 is closed before it starts, so
+    Python sets that stream to None; the other streams are captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(conicroute.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", "from conicroute.cli import entrypoint; entrypoint()", *argv],
+        stdout=None if fd == 1 else subprocess.PIPE, stderr=None if fd == 2 else subprocess.PIPE,
+        preexec_fn=None if fd is None else lambda: os.close(fd), env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv", [["query", MATRIX, "--all-sources"], ["export", MATRIX],
+                                  ["invent", MATRIX], ["build", MATRIX]],
+                         ids=["query_all_sources", "export", "invent", "build"])
+def test_a_closed_stdout_exits_2_with_one_line(argv):
+    child = _child_with_fd_closed(argv, 1)
+    assert child.returncode == 2
+    message = f"conicroute: cannot write output: {os.strerror(errno.EBADF)}\n"
+    assert child.stderr == message.encode()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["build", MATRIX], 0), (["validate", MATRIX], 0), (["build", "missing.csv"], 2),
+    (["build", "--format", "xml", MATRIX], 1), (["query", MATRIX, "--source", "nobody"], 3),
+], ids=["ok", "validate", "missing_file", "usage", "unknown_source"])
+def test_a_closed_stderr_keeps_the_documented_exit_code(argv, code):
+    child = _child_with_fd_closed(argv, 2)
+    assert child.returncode == code
+    assert child.stdout == _child_with_fd_closed(argv, None).stdout
+
+
 # --- output pinned by digest ------------------------------------------------------
 
 # sha256 of (exit code, stdout, stderr) for each case; stdout and stderr as the

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conicroute import matrix_io
 from conicroute.dijkstra import shortest_paths
 from conicroute.errors import (
+    ConicRouteError,
     DuplicateOffset,
     GraphNotFrozen,
     MalformedHeader,
@@ -271,6 +272,147 @@ def test_emit_refuses_a_cell_in_no_column(column):
     row = MatrixRow("S", 0, ((0, 5), (column, 7)))
     with pytest.raises(ValueError, match=f"row 'S': no destination in column {column}$"):
         emit_build_matrix(BuildMatrix(("A", "B"), (1, 2), (row,)))
+
+
+@pytest.mark.parametrize("cells, details, edges", [
+    (((0, 5), (0, 3), (1, 7)), ["column 0 after column 0"], [("A", 5), ("B", 7)]),
+    (((1, 5), (0, 3), (1, 7)), ["column 0 after column 1", "column 1 after column 1"],
+     [("B", 5)]),
+], ids=["repeated", "descending"])
+def test_build_graph_records_a_column_not_past_the_one_before_it(cells, details, edges):
+    # parsing never yields such a row, but a hand-built one can; merged, a
+    # repeated column would be two parallel edges
+    row = MatrixRow("S", 0, cells)
+    g, violations = build_graph(BuildMatrix(("A", "B"), (1, 2), (row,)))
+    assert violations == [Violation("RaggedRow", detail) for detail in details]
+    assert [(g.node(e.dst).label, e.weight) for e in g.edges] == edges
+
+
+@pytest.mark.parametrize("cells, previous", [(((0, 5), (0, 3)), 0), (((1, 5), (0, 3)), 1)],
+                         ids=["repeated", "descending"])
+def test_emit_refuses_a_column_not_past_the_one_before_it(cells, previous):
+    # written, a repeated column would silently keep only its last weight
+    row = MatrixRow("S", 0, cells)
+    with pytest.raises(ValueError, match=f"row 'S': column 0 after column {previous}$"):
+        emit_build_matrix(BuildMatrix(("A", "B"), (1, 2), (row,)))
+
+
+def _build_cell_by_cell(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
+    """The reference for build_graph: every cell through add_edge, as before
+    a clean row was added in one step, with the rule that a cell's column
+    exceeds the one before it."""
+    g, violations = ConicGraph(), []
+
+    def attempt(add, *args):
+        try:
+            return add(*args)
+        except ConicRouteError as exc:
+            violations.append(Violation(type(exc).__name__, str(exc)))
+        except ValueError as exc:
+            violations.append(Violation("InvalidNode", str(exc)))
+
+    source_ids = [attempt(g.add_node, row.source_label, NodeKind.SOURCE, row.source_offset)
+                  for row in matrix.rows]
+    dest_ids = [attempt(g.add_node, label, NodeKind.DESTINATION, offset)
+                for label, offset in zip(matrix.destination_labels, matrix.destination_offsets)]
+    for src, row in zip(source_ids, matrix.rows):
+        if src is None:
+            continue
+        last = -1
+        for column, weight in row.cells:
+            if not 0 <= column < len(dest_ids):
+                violations.append(Violation("UnknownNode", f"no destination in column {column}"))
+            elif column <= last:
+                violations.append(Violation("RaggedRow", f"column {column} after column {last}"))
+            else:
+                last = column
+                if dest_ids[column] is not None:
+                    attempt(g.add_edge, src, dest_ids[column], weight)
+    return g.freeze(), violations
+
+
+@st.composite
+def hand_built_matrices(draw) -> BuildMatrix:
+    """Matrices whose rows are often clean, and otherwise break one rule a
+    row step must leave to add_edge: a weight that is a bool, a float, 0,
+    negative or repeated, a column out of range or repeated, a destination or
+    a source whose add_node fails (a label given twice)."""
+    n_dest, n_src = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    labels = draw(st.lists(st.sampled_from("ABCDEFGH"), min_size=n_dest + n_src,
+                           max_size=n_dest + n_src, unique=True))
+    if labels and draw(st.booleans()):
+        at = st.integers(0, len(labels) - 1)
+        labels[draw(at)] = labels[draw(at)]
+    rows = []
+    for label in labels[n_dest:]:
+        columns = sorted(draw(st.sets(st.integers(0, max(n_dest - 1, 0)), max_size=n_dest)))
+        weights = draw(st.lists(st.integers(1, 99), min_size=len(columns),
+                                max_size=len(columns), unique=True))
+        cells = list(zip(columns, weights))
+        bad = st.sampled_from([True, False, 2.0, 0.5, 0, -3, *weights])
+        if cells and draw(st.booleans()):  # a spoiled weight
+            at = draw(st.integers(0, len(cells) - 1))
+            cells[at] = (cells[at][0], draw(bad))
+        if draw(st.booleans()):  # a stray cell
+            cells.insert(draw(st.integers(0, len(cells))),
+                         (draw(st.integers(-1, n_dest)), draw(st.integers(1, 99) | bad)))
+        rows.append(MatrixRow(label, len(rows), tuple(cells)))
+    return BuildMatrix(tuple(labels[:n_dest]), tuple(range(1, n_dest + 1)), tuple(rows))
+
+
+def _one_row(*cells, labels=("A", "B"), source="s") -> BuildMatrix:
+    return BuildMatrix(labels, tuple(range(1, len(labels) + 1)), (MatrixRow(source, 0, cells),))
+
+
+@settings(max_examples=400)
+@given(hand_built_matrices())
+@example(_one_row((0, True), (1, 3)))  # a bool weight
+@example(_one_row((0, 2.0), (1, 3)))  # a float weight
+@example(_one_row((0, 0), (1, 3)))  # a weight of 0
+@example(_one_row((0, -4), (1, 3)))  # a negative weight
+@example(_one_row((0, 5), (1, 5)))  # a weight repeated within the row
+@example(_one_row((0, 5), (2, 3)))  # a column past the destinations
+@example(_one_row((-1, 5), (1, 3)))  # a column before them
+@example(_one_row((0, 5), (0, 3), (1, 7)))  # a repeated column
+@example(_one_row((0, 5), (1, 3), labels=("A", "A")))  # a destination's add_node fails
+@example(BuildMatrix(("A",), (1,), (MatrixRow("s", 0, ((0, 5),)),
+                                    MatrixRow("s", 1, ((0, 3),)))))  # a source's fails
+def test_build_graph_equals_the_cell_by_cell_reference(matrix):
+    g, violations = build_graph(matrix)
+    want, want_violations = _build_cell_by_cell(matrix)
+    assert violations == want_violations
+    assert g.nodes == want.nodes
+    assert g.edges == want.edges
+    assert all(g.out_edges(n.id) == want.out_edges(n.id) for n in g.nodes)
+
+
+def _clean_matrix(rng: random.Random, n_src: int, n_dest: int, fanout: int) -> BuildMatrix:
+    rows = tuple(MatrixRow(f"s{i}", i, tuple(zip(sorted(rng.sample(range(n_dest), fanout)),
+                                                 rng.sample(range(1, 10_000), fanout))))
+                 for i in range(n_src))
+    return BuildMatrix(tuple(f"d{j}" for j in range(n_dest)),
+                       tuple(range(1, n_dest + 1)), rows)
+
+
+def test_only_a_row_with_a_bad_cell_calls_add_edge(monkeypatch, matrix_text):
+    calls, add_edge = [], ConicGraph.add_edge
+
+    def counting(self, src, dst, weight):
+        calls.append(src)
+        return add_edge(self, src, dst, weight)
+
+    monkeypatch.setattr(ConicGraph, "add_edge", counting)
+    assert to_graph(parse_build_matrix(matrix_text)).edge_count == 8
+    clean = _clean_matrix(random.Random(24), 30, 100, 20)
+    assert to_graph(clean).edge_count == 600
+    assert calls == []
+    rows = list(clean.rows)
+    rows[7] = MatrixRow("s7", 7, ((rows[7].cells[0][0], 0), *rows[7].cells[1:]))
+    g, violations = build_graph(BuildMatrix(clean.destination_labels,
+                                            clean.destination_offsets, tuple(rows)))
+    assert [v.code for v in violations] == ["NonPositiveWeight"]
+    assert g.edge_count == 599
+    assert calls == [label_id(g, "s7")] * 20
 
 
 def test_roundtrip_is_lossless(matrix_text):

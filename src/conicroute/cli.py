@@ -12,7 +12,8 @@ machine format: exactly the text ``json.dumps(payload, indent=2)`` writes,
 plus a newline, byte-identical for identical inputs. A renderer per payload
 shape writes it straight from the engine's results, one top-level entry at
 a time (``invent`` and ``query --all-sources``: one source at a time);
-``--format table`` renders the same results for people.
+``--format table`` renders the same results for people. A run of main()
+has the cyclic collector paused (graph._collector_paused).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     UnknownSourceLabel,
     ValidationFailed,
 )
-from .graph import ConicGraph, NodeId, NodeKind, Violation
+from .graph import ConicGraph, NodeId, NodeKind, Violation, _collector_paused
 from .invention import (
     DEFAULT_TOLERANCE,
     FitnessReport,
@@ -421,6 +422,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@_collector_paused
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     try:

@@ -13,6 +13,7 @@ keeps a source's weights distinct, so its weight, on the lower triangle
 bound of the pair, is positive and min + invented = max always holds. A
 known hidden path between the same two destinations can grade an
 invention via fitness(), which scores relative error against a tolerance.
+invent_all runs with the cyclic collector paused (graph._collector_paused).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import inf
 from typing import NamedTuple
 
 from .errors import EndpointMismatch, NonPositiveWeight, NotASource
-from .graph import ConicGraph, Edge, NodeId, NodeKind, Provenance
+from .graph import ConicGraph, Edge, NodeId, NodeKind, Provenance, _collector_paused
 
 DEFAULT_TOLERANCE = Fraction(1, 10)
 # a tolerance's text; a four-digit exponent keeps Fraction("1eN") small
@@ -122,6 +123,7 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
     return invented
 
 
+@_collector_paused
 def invent_all(graph: ConicGraph,
                policy: PolicyThreshold | None = None) -> dict[NodeId, list[InventedEdge]]:
     """invent_for_source over every source, ascending node id."""

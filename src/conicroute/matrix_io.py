@@ -12,7 +12,8 @@ means "no edge", so a MatrixRow keeps only its populated cells, and past
 one C-level pass over the text, parsing and building work per populated
 cell. Every number in a file is ASCII ``-?[0-9]+``. Hidden paths travel in
 their own CSV with the header ``from,to,true_weight``, one row per
-unordered pair of distinct destinations.
+unordered pair of distinct destinations. Parsing and graph building run
+with the cyclic collector paused (graph._collector_paused).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     UnknownNode,
     ValidationFailed,
 )
-from .graph import ConicGraph, NodeId, NodeKind, Violation
+from .graph import ConicGraph, NodeId, NodeKind, Violation, _collector_paused
 from .invention import HiddenPath
 
 
@@ -82,6 +83,7 @@ def _records(text: str) -> list[tuple[int, list[str]]]:
     return records
 
 
+@_collector_paused
 def parse_build_matrix(text: str) -> BuildMatrix:
     """Parse transition-matrix CSV text into a BuildMatrix of populated cells.
 
@@ -143,8 +145,8 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     for row in matrix.rows:
         cells, last = [""] * len(matrix.destination_labels), -1
         for column, weight in row.cells:
-            if not 0 <= column < len(cells):
-                raise ValueError(f"row {row.source_label!r}: no destination in column {column}")
+            if type(column) is not int or not 0 <= column < len(cells):  # not a bool or float
+                raise ValueError(f"row {row.source_label!r}: no destination in column {column!r}")
             if column <= last:
                 raise ValueError(f"row {row.source_label!r}: column {column} after column {last}")
             cells[column], last = weight, column
@@ -152,6 +154,7 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     return out.getvalue()
 
 
+@_collector_paused
 def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     """Lenient graph construction: offending nodes/edges become violations.
 
@@ -185,15 +188,17 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
         if src is None or not row.cells:
             continue
         columns, weights = zip(*row.cells)
-        # a clean row's columns ascend within the header, so its ends bound them
-        if 0 <= columns[0] and columns[-1] < len(dest_ids) and all(map(lt, columns, columns[1:])):
+        # a clean row's columns are exactly ints, as _check_node's ids (not a bool or
+        # float), and ascend within the header, so its ends bound them
+        if (set(map(type, columns)) == {int} and 0 <= columns[0]
+                and columns[-1] < len(dest_ids) and all(map(lt, columns, columns[1:]))):
             targets = tuple(map(dest_ids.__getitem__, columns))
             if None not in targets and g._add_row(src, targets, weights):
                 continue
         last = -1
         for column, weight in row.cells:
-            if not 0 <= column < len(dest_ids):
-                violations.append(Violation("UnknownNode", f"no destination in column {column}"))
+            if type(column) is not int or not 0 <= column < len(dest_ids):
+                violations.append(Violation("UnknownNode", f"no destination in column {column!r}"))
             elif column <= last:
                 violations.append(Violation("RaggedRow", f"column {column} after column {last}"))
             else:

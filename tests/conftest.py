@@ -3,6 +3,7 @@ and brute-force oracles that stay independent of the engine under test."""
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import defaultdict
 from math import inf
@@ -23,6 +24,16 @@ HIDDEN_PATH = DATA_DIR / "hidden_paths.csv"
 # max_examples
 settings.register_profile("conicroute", derandomize=True, database=None, deadline=None)
 settings.load_profile("conicroute")
+
+
+@pytest.fixture(autouse=True)
+def _collector_given_back():
+    """Fail a test that leaves the cyclic collector disabled, so that a pause
+    the engine does not give back shows in the test that leaked it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic collector disabled")
 
 
 @pytest.fixture(scope="session")

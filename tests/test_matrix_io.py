@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -257,20 +258,25 @@ def test_two_cells_of_one_weight_keep_their_columns():
     assert [(g.node(e.dst).label, e.weight) for e in g.edges] == [("B", 15)]
 
 
-@pytest.mark.parametrize("column", [-1, 2])
+# a column is exactly an int, as a node id is: True would index column 1
+NO_COLUMNS = [-1, 2, 0.0, 1.0, "0", True]
+
+
+@pytest.mark.parametrize("column", NO_COLUMNS)
 def test_build_graph_records_a_cell_in_no_column(column):
     # parsing never yields such a cell, but a hand-built row can
     row = MatrixRow("S", 0, ((0, 5), (column, 7), (1, 9)))
     g, violations = build_graph(BuildMatrix(("A", "B"), (1, 2), (row,)))
-    assert violations == [Violation("UnknownNode", f"no destination in column {column}")]
+    assert violations == [Violation("UnknownNode", f"no destination in column {column!r}")]
     assert [(g.node(e.dst).label, e.weight) for e in g.edges] == [("A", 5), ("B", 9)]
 
 
-@pytest.mark.parametrize("column", [-1, 2])
+@pytest.mark.parametrize("column", NO_COLUMNS)
 def test_emit_refuses_a_cell_in_no_column(column):
     # column -1 would land on the last destination, and 2 is past the end
     row = MatrixRow("S", 0, ((0, 5), (column, 7)))
-    with pytest.raises(ValueError, match=f"row 'S': no destination in column {column}$"):
+    message = re.escape(f"row 'S': no destination in column {column!r}")
+    with pytest.raises(ValueError, match=f"{message}$"):
         emit_build_matrix(BuildMatrix(("A", "B"), (1, 2), (row,)))
 
 

@@ -226,16 +226,17 @@ def _graph_json(graph: ConicGraph) -> Iterator[str]:
     labels = _labels(graph)
     yield '{\n  "nodes": ' + _array([_NODE % (n.id, labels[n.id], _str(n.kind.value), n.offset)
                                      for n in graph.nodes], "  ")
-    yield ',\n  "edges": ' + _array([_EDGE % (labels[e.src], labels[e.dst], e.weight,
-                                              _str(e.provenance.value))
-                                     for e in graph.edges], "  ") + "\n}\n"
+    yield ',\n  "edges": ' + _array([_EDGE % (labels[src], labels[dst], weight, kind)
+                                     for src, pairs, provenance in graph._log
+                                     for kind in [_str(provenance.value)]
+                                     for dst, weight in pairs], "  ") + "\n}\n"
 
 
 def _graph_table(graph: ConicGraph) -> Iterator[str]:
     nodes = graph.nodes
     yield "".join(f"node {n.label}  {n.kind.value}  offset {n.offset}\n" for n in nodes)
-    yield "".join(f"edge {nodes[e.src].label} -> {nodes[e.dst].label}  weight {e.weight}\n"
-                  for e in graph.edges)
+    yield "".join(f"edge {nodes[src].label} -> {nodes[dst].label}  weight {weight}\n"
+                  for src, pairs, _ in graph._log for dst, weight in pairs)
 
 
 def _violations_json(violations: list[Violation]) -> Iterator[str]:

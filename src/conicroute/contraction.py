@@ -117,10 +117,10 @@ class Contractor:
             n = self.graph.node_count
             out = self._out = [{} for _ in range(n)]
             into = self._in = [{} for _ in range(n)]
-            for edge in self.graph._edges:
-                src, dst, weight = edge.src, edge.dst, edge.weight
-                if weight < out[src].get(dst, weight + 1):
-                    out[src][dst] = into[dst][src] = weight
+            for src, pairs in enumerate(self.graph._out):
+                for dst, weight in pairs:
+                    if weight < out[src].get(dst, weight + 1):
+                        out[src][dst] = into[dst][src] = weight
         return self._in, self._out
 
     def contract(self, u: NodeId) -> list[Shortcut]:

@@ -10,7 +10,9 @@ and weights are positive, so an entry is stale exactly when its distance
 exceeds the node's label; stale entries are discarded on pop against that
 label, with no settled set. Ties on distance settle the smaller node id
 first, so runs are deterministic. The adjacency is chosen once per search:
-the graph's original view, or every edge with use_invented.
+the graph's original view, or every edge with use_invented. Either holds
+each node's out-edges as (dst, weight) pairs, unpacked into locals; an
+edge's provenance lives in the graph's log, which the search never reads.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def shortest_paths(graph: ConicGraph, source: NodeId,
         if d > dist[node]:
             continue  # stale entry superseded by a later, smaller label
         settled.append(node)
-        for edge in out[node]:
-            label, dst = d + edge.weight, edge.dst
+        for dst, weight in out[node]:
+            label = d + weight
             if label < label_of(dst, inf):
                 dist[dst] = label
                 pred[dst] = node

@@ -36,13 +36,14 @@ def export_dot(graph: ConicGraph, *, invented: Iterable[InventedEdge] | None = N
     if graph.node_count == 0:  # an invention joins two of the graph's nodes
         return "digraph conic {}\n"
     lines = ["digraph conic {", "  rankdir=LR;"]
-    label = {node.id: _dot_id(node.label) for node in graph.nodes}
+    label = [_dot_id(node.label) for node in graph.nodes]  # by node id
     for node in graph.nodes:
         shape = "box" if node.kind is NodeKind.SOURCE else "ellipse"
         lines.append(f"  {label[node.id]} [shape={shape}];")
-    for edge in graph.edges:
-        lines.append(f'  {label[edge.src]} -> {label[edge.dst]} '
-                     f'[label="{edge.weight}"{_STYLE[edge.provenance]}];')
+    # every edge, in insertion order; a log entry's style is looked up once
+    lines += [f'  {label[src]} -> {label[dst]} [label="{weight}"{style}];'
+              for src, pairs, provenance in graph._log for style in [_STYLE[provenance]]
+              for dst, weight in pairs]
     dotted = _STYLE[Provenance.INVENTED]
     for edge in invented or ():
         lines.append(f'  {label[edge.src]} -> {label[edge.dst]} [label="{edge.weight}"{dotted}];')

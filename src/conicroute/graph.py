@@ -15,15 +15,23 @@ the one step that accepts an edge by this rule, _accept(). A matrix row
 whose every edge add_edge would accept, forward in rank, skips it:
 _add_row adds the whole row at once, for build_graph.
 
+Edges are data: each node's adjacency in _out is (dst, weight) pairs, and
+a log (_log) holds (src, pairs, provenance) in insertion order, once per
+matrix row (sharing its pair tuple with _out), add_edge call and derived
+edge. extend() also keeps each derived edge's target and provenance by
+its source, in _derived. Edge objects are built only on demand: by edges
+in O(E), by out_edges in O(fan-out).
+
 A graph is immutable after freeze(), which drops the state only add_node
-and add_edge read; it and extend() share _seal(), which turns each out-edge
-list into a tuple sorted by target offset. freeze() also sets the original
-view _original, the one place where a run of parallel edges to one node is
-cut to its lightest edge, the one every shortest path takes. Derived edges
-(shortcuts, invented edges) never mutate a frozen graph: extend() returns
-it for none, else a new frozen graph with its own ranks that shares the
-base's nodes, untouched adjacency tuples and _original. The search without
-use_invented, the pair walk and from_graph read _original.
+and add_edge read and turns each adjacency list into a tuple sorted by
+target offset; a matrix row arrives in that order and is kept as it is.
+freeze() also sets the original view _original, the one place where a run
+of parallel edges to one node is cut to its lightest edge, the one every
+shortest path takes. Derived edges (shortcuts, invented edges) never
+mutate a frozen graph: extend() returns it for none, else a new frozen
+graph with its own ranks that shares the base's nodes, untouched adjacency
+tuples and _original. The search without use_invented, the pair walk and
+from_graph read _original.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from collections import defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import wraps
-from itertools import groupby, repeat
-from operator import attrgetter
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     CycleCreated,
@@ -107,8 +115,11 @@ class ConicGraph:
 
     def __init__(self) -> None:
         self._nodes: list[Node] = []
-        self._edges: list[Edge] = []
-        self._out: list[list[Edge]] = []  # by node id; sorted tuples once frozen
+        self._out: list[list | tuple] = []  # by node id, (dst, weight); sorted tuples once frozen
+        self._log: list[tuple[NodeId, tuple, Provenance]] = []  # (src, pairs, provenance)
+        self._size = 0  # the edges the log holds
+        # by node id, (dst, provenance) of each derived out-edge, in extend()'s order
+        self._derived: dict[NodeId, list[tuple[NodeId, Provenance]]] = {}
         self._by_label: dict[str, NodeId] = {}
         # filled on first use, so a node without in-edges holds no predecessor list
         self._preds: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
@@ -157,21 +168,25 @@ class ConicGraph:
             raise EqualAdjacentWeight(
                 f"source {self._nodes[src].label!r} already has an edge of weight {weight}"
             )
-        self._accept(Edge(src, dst, weight, Provenance.ORIGINAL))
+        self._accept(src, dst, weight, Provenance.ORIGINAL)
         self._out_weights[src].add(weight)
-        return len(self._edges) - 1
+        return self._size - 1
 
-    def _add_row(self, src: NodeId, targets: tuple[NodeId, ...], weights: tuple[int, ...]) -> bool:
+    def _add_row(self, src: NodeId, targets: tuple[NodeId, ...], weights: tuple[int, ...],
+                 in_order: bool) -> bool:
         """add_edge(src, targets[i], weights[i]) for a matrix row's distinct targets in
-        one step, when every call would succeed; else add nothing and return False."""
-        seen, rank, preds = self._out_weights[src], self._rank, self._preds
+        one step, when every call would succeed; else add nothing and return False.
+        A row in_order (targets by ascending offset) is kept as the tuple freeze()
+        would sort it into, so build_graph adds no other edge from its source."""
+        seen, rank, preds, out = self._out_weights[src], self._rank, self._preds, self._out
         if not (set(map(type, weights)) == {int} and min(weights) > 0  # _check_edge: an int > 0
                 and len(seen.union(weights)) == len(seen) + len(weights)  # add_edge: none twice
                 and rank[src] < min(map(rank.__getitem__, targets))):  # _accept: forward, no cycle
             return False
-        edges = list(map(Edge, repeat(src), targets, weights))
-        self._edges += edges
-        self._out[src] += edges
+        pairs = tuple(zip(targets, weights))
+        out[src] = pairs if in_order and not out[src] else [*out[src], *pairs]
+        self._log.append((src, pairs, Provenance.ORIGINAL))
+        self._size += len(pairs)
         for dst in targets:
             preds[dst].append(src)
         seen.update(weights)
@@ -183,13 +198,16 @@ class ConicGraph:
             # drop the state only add_node and add_edge read; the ranks and
             # predecessors stay, as extend() accepts edges by the same step
             del self._by_offset, self._out_weights
-            self._seal()
+            # a stable sort: parallel edges keep their order; a tuple is a row in order
+            key = self._offset_key
+            self._out = [adj if type(adj) is tuple else tuple(sorted(adj, key=key))
+                         for adj in self._out]
             self._original = self._out  # every edge so far is original
             # fewer (src, dst) pairs than edges: cut each parallel run to its lightest edge
-            if sum(map(len, map(set, self._preds.values()))) < len(self._edges):
-                cuts = [tuple(min(run, key=attrgetter("weight")) for _, run in
-                              groupby(edges, self._offset_key)) for edges in self._out]
-                self._original = [c if len(c) < len(e) else e for c, e in zip(cuts, self._out)]
+            if sum(map(len, map(set, self._preds.values()))) < self._size:
+                cuts = [tuple(min(run, key=itemgetter(1)) for _, run in
+                              groupby(adj, itemgetter(0))) for adj in self._out]
+                self._original = [c if len(c) < len(a) else a for c, a in zip(cuts, self._out)]
             self._frozen = True
         return self
 
@@ -201,8 +219,9 @@ class ConicGraph:
         INVENTED edges are taken, so the copy shares the base's original
         adjacency; all are checked first, then accepted by add_edge's step,
         so the combined edge set stays acyclic. The copy shares every
-        adjacency tuple it adds nothing to and costs O(V + E) list copies
-        plus its derived edges; a contraction shortcut is forward in rank.
+        adjacency tuple it adds nothing to and costs O(V) list copies plus
+        the log's, and a sort of each adjacency it adds to; a contraction
+        shortcut is forward in rank.
         """
         self._require_frozen()
         derived = tuple(derived)
@@ -216,16 +235,21 @@ class ConicGraph:
         # this graph's attributes into a dict that slows every later query
         g = ConicGraph.__new__(ConicGraph)
         g._nodes, g._by_label, g._rank = self._nodes, self._by_label, list(self._rank)
-        g._edges, g._original, g._frozen = list(self._edges), self._original, True
+        g._log, g._size, g._original, g._frozen = list(self._log), self._size, self._original, True
         out, preds = g._out, g._preds = list(self._out), self._preds.copy()
+        late = g._derived = self._derived.copy()
         # the copy's own lists for the nodes that gain an edge: the base's stay as they are
-        for src in {edge.src for edge in derived}:
-            out[src] = list(out[src])
+        gainers = {edge.src for edge in derived}
+        for src in gainers:
+            out[src], late[src] = list(out[src]), list(late.get(src, ()))
         for dst in {edge.dst for edge in derived}:
             preds[dst] = list(preds.get(dst, ()))
         for edge in derived:
-            g._accept(edge)
-        g._seal()
+            g._accept(edge.src, edge.dst, edge.weight, edge.provenance)
+            late[edge.src].append((edge.dst, edge.provenance))
+        key = self._offset_key  # stably: a derived edge follows its parallels
+        for src in gainers:
+            out[src] = tuple(sorted(out[src], key=key))
         return g
 
     # --- queries ------------------------------------------------------------
@@ -240,7 +264,7 @@ class ConicGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._size
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -248,7 +272,9 @@ class ConicGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self._edges)
+        """Every edge in insertion order, built on demand: O(E)."""
+        return tuple(Edge(src, dst, weight, kind)
+                     for src, pairs, kind in self._log for dst, weight in pairs)
 
     def node(self, node_id: NodeId) -> Node:
         self._check_node(node_id)
@@ -267,34 +293,40 @@ class ConicGraph:
         return [n for n in self._nodes if n.kind is NodeKind.DESTINATION]
 
     def out_edges(self, node_id: NodeId) -> tuple[Edge, ...]:
-        """All outgoing edges, sorted ascending by target offset at freeze()."""
+        """All outgoing edges, sorted ascending by target offset at freeze(),
+        built on demand: O(fan-out)."""
         self._require_frozen()
         self._check_node(node_id)
-        return self._out[node_id]
+        late = defaultdict(list)  # by target, the provenance of its derived edges
+        for dst, provenance in self._derived.get(node_id, ()):
+            late[dst].append(provenance)
+        # a stable sort put a target's original edges first, then its derived ones in
+        # extend()'s order: walked backwards, each derived edge meets its provenance
+        edges = [Edge(node_id, dst, weight, late[dst].pop() if late[dst] else Provenance.ORIGINAL)
+                 for dst, weight in reversed(self._out[node_id])]
+        return tuple(reversed(edges))
 
     def neighbors_ascending(self, node_id: NodeId) -> list[tuple[NodeId, int]]:
         """(target, weight) pairs in ascending target-offset order."""
-        return [(e.dst, e.weight) for e in self.out_edges(node_id)]
+        self._require_frozen()
+        self._check_node(node_id)
+        return list(self._out[node_id])
 
     # --- internals ----------------------------------------------------------
 
-    def _offset_key(self, edge: Edge) -> tuple[int, int]:
-        return (self._nodes[edge.dst].offset, edge.dst)
+    def _offset_key(self, pair: tuple[NodeId, int]) -> tuple[int, int]:
+        dst = pair[0]
+        return (self._nodes[dst].offset, dst)
 
-    def _accept(self, edge: Edge) -> None:
+    def _accept(self, src: NodeId, dst: NodeId, weight: int, provenance: Provenance) -> None:
         """Place a checked edge by the rank rule, then record it."""
-        src, dst = edge.src, edge.dst
         if self._rank[src] > self._rank[dst]:
             self._reorder(src, dst)
-        self._edges.append(edge)
-        self._out[src].append(edge)
+        pair = (dst, weight)
+        self._log.append((src, (pair,), provenance))
+        self._out[src].append(pair)
         self._preds[dst].append(src)
-
-    def _seal(self) -> None:
-        """Sort each out-edge list into a tuple, stably: parallel edges keep their order."""
-        key = self._offset_key
-        self._out = [edges if type(edges) is tuple else
-                     tuple(sorted(edges, key=key)) if edges else () for edges in self._out]
+        self._size += 1
 
     def _check_node(self, node_id: NodeId) -> None:
         # exactly int: a bool, float or str must not index the node lists
@@ -334,8 +366,7 @@ class ConicGraph:
         forward = [dst]
         seen = {dst}
         for node in forward:  # the list grows while it is walked
-            for edge in out[node]:
-                nxt = edge.dst
+            for nxt, _ in out[node]:
                 r = rank[nxt]
                 if r == high:
                     raise CycleCreated(f"edge {src}->{dst} would close a cycle")

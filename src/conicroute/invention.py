@@ -1,8 +1,9 @@
 """Invention of destination-to-destination edges by absolute edge difference.
 
-For one source, the edges of its original view are walked in ascending
-target offset order as consecutive pairs; on a matrix source the targets
-are its destinations, on a general DAG any nodes. The view keeps one edge
+For one source, the edges of its original view, (dst, weight) pairs with
+no provenance (every one is original), are walked in ascending target
+offset order as consecutive pairs; on a matrix source the targets are its
+destinations, on a general DAG any nodes. The view keeps one edge
 per target, the lightest of a parallel run, so a pair's edges reach two
 different nodes. Within a pair the smaller edge is the found short path,
 and a new edge is invented from its target to the other's, weighing their
@@ -111,15 +112,14 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
     cap = inf if policy is None else policy.allowable
     invented: list[InventedEdge] = []
     # frozen and node are checked above: read the original adjacency unchecked
-    for first, second in pairwise(graph._original[source]):
-        weight = absolute_edge_difference(first.weight, second.weight)
+    for (first, w1), (second, w2) in pairwise(graph._original[source]):
+        weight = absolute_edge_difference(w1, w2)
         if weight > cap:
             continue
-        if first.weight < second.weight:
-            near, far, pair = first.dst, second.dst, (first.weight, second.weight)
+        if w1 < w2:
+            invented.append(InventedEdge(source, first, second, weight, (w1, w2)))
         else:
-            near, far, pair = second.dst, first.dst, (second.weight, first.weight)
-        invented.append(InventedEdge(source, near, far, weight, pair))
+            invented.append(InventedEdge(source, second, first, weight, (w2, w1)))
     return invented
 
 

@@ -184,6 +184,9 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
                   for row in matrix.rows]
     dest_ids = [attempt(g.add_node, label, NodeKind.DESTINATION, offset)
                 for label, offset in zip(matrix.destination_labels, matrix.destination_offsets)]
+    # ascending columns reach ascending offsets, the order freeze() sorts a row into
+    offsets = matrix.destination_offsets
+    in_order = all(map(lt, offsets, offsets[1:]))
     for src, row in zip(source_ids, matrix.rows):
         if src is None or not row.cells:
             continue
@@ -193,7 +196,7 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
         if (set(map(type, columns)) == {int} and 0 <= columns[0]
                 and columns[-1] < len(dest_ids) and all(map(lt, columns, columns[1:]))):
             targets = tuple(map(dest_ids.__getitem__, columns))
-            if None not in targets and g._add_row(src, targets, weights):
+            if None not in targets and g._add_row(src, targets, weights, in_order):
                 continue
         last = -1
         for column, weight in row.cells:
@@ -223,7 +226,7 @@ def from_graph(g: ConicGraph) -> BuildMatrix:
     column = {node.id: i for i, node in enumerate(dests)}
     # a view holds one edge per target, sorted by offset: columns come out ascending
     rows = tuple(MatrixRow(source.label, source.offset, tuple(
-        (column[e.dst], e.weight) for e in g._original[source.id] if e.dst in column))
+        (column[dst], weight) for dst, weight in g._original[source.id] if dst in column))
         for source in sorted(g.sources(), key=lambda n: n.offset))
     return BuildMatrix(tuple(n.label for n in dests), tuple(n.offset for n in dests), rows)
 

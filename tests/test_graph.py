@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from functools import partial
 
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conicroute import graph as graph_module
+from conicroute.cli import OK, main
 from conicroute.contraction import contract_node
 from conicroute.dijkstra import shortest_paths
+from conicroute.dot import export_dot
 from conicroute.errors import (
     ConicRouteError,
     CycleCreated,
@@ -23,9 +27,10 @@ from conicroute.errors import (
     UnknownNode,
 )
 from conicroute.graph import ConicGraph, Edge, Node, NodeKind, Provenance, validate
-from conicroute.invention import invent_for_source
+from conicroute.invention import invent_all, invent_for_source
+from conicroute.matrix_io import parse_build_matrix, to_graph
 
-from conftest import label_id, random_conic, random_dag
+from conftest import MATRIX_PATH, label_id, random_conic, random_dag
 
 
 def test_add_node_ids_are_sequential():
@@ -428,8 +433,8 @@ def test_freeze_cuts_only_the_runs_of_parallel_edges(hospital_graph):
     g.freeze()
     # out_edges keeps every edge; the original view keeps the lightest of each run
     assert g.neighbors_ascending(s) == [(d, 5), (d, 3), (e, 9)]
-    assert [(edge.dst, edge.weight) for edge in g._original[s]] == [(d, 3), (e, 9)]
-    assert g._original[t] is g.out_edges(t)  # no run: the sealed tuple itself
+    assert g._original[s] == ((d, 3), (e, 9))
+    assert g._original[t] is g._out[t]  # no run: the sealed pair tuple itself
     assert hospital_graph._original is hospital_graph._out  # no run anywhere
 
 
@@ -490,12 +495,12 @@ def test_extend_shares_untouched_adjacency_and_sorts_only_touched_nodes(
         hospital_graph, monkeypatch):
     g = hospital_graph
     before = [g.out_edges(n.id) for n in g.nodes]
-    keyed = []  # the source of every edge the offset sort key is asked about
+    keyed = []  # every (dst, weight) pair the offset sort key is asked about
     real_key = ConicGraph._offset_key
 
-    def counting_key(self, edge):
-        keyed.append(edge.src)
-        return real_key(self, edge)
+    def counting_key(self, pair):
+        keyed.append(pair)
+        return real_key(self, pair)
 
     monkeypatch.setattr(ConicGraph, "_offset_key", counting_key)
     assert g.extend([]) is g  # a frozen graph never changes
@@ -504,9 +509,9 @@ def test_extend_shares_untouched_adjacency_and_sorts_only_touched_nodes(
     rum, pc = label_id(g, "Rumuomasi"), label_id(g, "PC")
     shortcut = Edge(rum, pc, 1000, Provenance.SHORTCUT)
     one = g.extend([shortcut])
-    assert keyed == [rum] * (len(before[rum]) + 1)
+    assert sorted(keyed) == sorted([(e.dst, e.weight) for e in before[rum]] + [(pc, 1000)])
     assert one.out_edges(rum) == before[rum] + (shortcut,)
-    assert all(one.out_edges(n.id) is before[n.id] for n in g.nodes if n.id != rum)
+    assert all(one._out[n.id] is g._out[n.id] for n in g.nodes if n.id != rum)
     # the base graph is unchanged
     assert [g.out_edges(n.id) for n in g.nodes] == before
     assert g.edge_count == 8 and shortcut not in g.edges
@@ -606,3 +611,63 @@ def test_adjacency_queries_require_frozen():
     for query in (g.out_edges, g.neighbors_ascending):
         with pytest.raises(GraphNotFrozen):
             query(s)
+
+
+def _shuffled_graph_with_derived_edges() -> tuple[ConicGraph, ConicGraph]:
+    """A DAG whose offsets run against its ids, built by add_edge in shuffled
+    order with one parallel run, and that graph extended twice with
+    interleaved SHORTCUT and INVENTED edges, some parallel to originals."""
+    rng = random.Random(26)
+    g = ConicGraph()
+    for i, offset in enumerate(rng.sample(range(1, 40), 12)):
+        g.add_node(f"n{i}", NodeKind.SOURCE if i < 4 else NodeKind.DESTINATION, offset)
+    edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.35]
+    edges += [(0, 5), (0, 5), (0, 5)]  # a parallel run of four
+    weights = rng.sample(range(1, 500), len(edges))
+    weighted = [(src, dst, w) for (src, dst), w in zip(edges, weights)]
+    rng.shuffle(weighted)
+    for src, dst, weight in weighted:
+        g.add_edge(src, dst, weight)
+    g.freeze()
+    kinds = [Provenance.SHORTCUT, Provenance.INVENTED]
+    derived = [Edge(src, dst, rng.randint(1, 600), kinds[k % 2])
+               for k, (src, dst) in enumerate(rng.sample(edges, 6) + [(1, 9), (2, 11), (0, 5)])]
+    return g, g.extend(derived[:5]).extend(derived[5:])
+
+
+def test_edge_order_matches_its_pinned_digest():
+    # every public reading of adjacency and of the edge list, in order
+    parts = []
+    for g in _shuffled_graph_with_derived_edges():
+        parts += [export_dot(g), repr(g.edges)]
+        for n in g.nodes:
+            parts += [repr(g.out_edges(n.id)), repr(g.neighbors_ascending(n.id))]
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "7d0e66209639eba2c19078f635f68521c1209d88ac2c692c74e4485741bc4f5b"
+
+
+def test_the_hot_paths_build_no_edge_and_a_matrix_freezes_unsorted(monkeypatch, capsys):
+    # adjacency is (dst, weight) pairs: an Edge is built only when a caller asks for one
+    def no_edge(*args, **kwargs):
+        raise AssertionError("an Edge was built")
+
+    keyed = []
+    real_key = ConicGraph._offset_key
+
+    def counting_key(self, pair):
+        keyed.append(pair)
+        return real_key(self, pair)
+
+    monkeypatch.setattr(graph_module, "Edge", no_edge)
+    monkeypatch.setattr(ConicGraph, "_offset_key", counting_key)
+    g = to_graph(parse_build_matrix(MATRIX_PATH.read_text(encoding="utf-8")))
+    assert keyed == []  # a clean matrix's rows arrive in offset order
+    for node in g.nodes:
+        for use_invented in (False, True):
+            shortest_paths(g, node.id, use_invented)
+    export_dot(g, invented=[e for edges in invent_all(g).values() for e in edges])
+    for command in ("invent", "build"):
+        assert main([command, str(MATRIX_PATH)]) == OK
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="an Edge was built"):
+        g.out_edges(0)  # the public API still builds them, through the patched name

@@ -3,8 +3,10 @@
 Alongside the classic heap-driven search and contraction shortcuts, the
 engine invents candidate edges between adjacent destinations of a source
 as the absolute difference of their edge weights, and grades them against
-known hidden paths.
+known hidden paths. ``__all__`` is every public name that the imports bind.
 """
+
+from types import ModuleType as _ModuleType
 
 from .contraction import (
     Contractor,
@@ -71,60 +73,5 @@ from .matrix_io import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlreadyContracted",
-    "BadOrder",
-    "BuildMatrix",
-    "ConicGraph",
-    "ConicRouteError",
-    "Contractor",
-    "CycleCreated",
-    "DEFAULT_TOLERANCE",
-    "DuplicateLabel",
-    "DuplicateOffset",
-    "Edge",
-    "EndpointMismatch",
-    "EqualAdjacentWeight",
-    "FitnessReport",
-    "GraphFrozen",
-    "GraphNotFrozen",
-    "HiddenPath",
-    "InventedEdge",
-    "MalformedHeader",
-    "MatrixRow",
-    "Node",
-    "NodeKind",
-    "NonIntegerCell",
-    "NonPositiveWeight",
-    "NotASource",
-    "Overlay",
-    "ParseError",
-    "PathResult",
-    "PolicyThreshold",
-    "Provenance",
-    "RaggedRow",
-    "SearchState",
-    "Shortcut",
-    "Unreachable",
-    "UnknownNode",
-    "UnknownSourceLabel",
-    "ValidationFailed",
-    "Violation",
-    "absolute_edge_difference",
-    "build_graph",
-    "build_hierarchy",
-    "contract_node",
-    "emit_build_matrix",
-    "export_dot",
-    "fitness",
-    "from_graph",
-    "invent_all",
-    "invent_for_source",
-    "parse_build_matrix",
-    "parse_hidden_paths",
-    "path_to",
-    "shortest_paths",
-    "to_graph",
-    "triangle_bounds",
-    "validate",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -115,9 +115,7 @@ def parse_build_matrix(text: str) -> BuildMatrix:
         if not record:
             raise RaggedRow(line, "blank row inside the matrix body")
         if len(record) != 2 + len(labels):
-            raise RaggedRow(
-                line, f"{len(record) - 2} cells for {len(labels)} destinations"
-            )
+            raise RaggedRow(line, f"{len(record) - 2} cells for {len(labels)} destinations")
         offset = _int_cell(record[1], line, "source offset")
         if last_offset is not None:
             _check_increasing(last_offset, offset, line, "source")
@@ -131,9 +129,12 @@ def parse_build_matrix(text: str) -> BuildMatrix:
 
 
 def emit_build_matrix(matrix: BuildMatrix) -> str:
-    """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting); a
-    hand-built cell in no destination's column, or in a column that does not
-    exceed the one before it, raises ValueError."""
+    """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting). What
+    parse_build_matrix would not read back raises ValueError: a cell in no column
+    or not past the one before it, and an offset or weight that is not an int."""
+    for label, offset in zip(matrix.destination_labels, matrix.destination_offsets):
+        if type(offset) is not int:  # not a bool, float or str, as for a column
+            raise ValueError(f"destination {label!r}: offset {offset!r} is not an int")
     out = io.StringIO()
     # a writer that ends lines in LF leaves a CR bare, and a reader ends the
     # line there; so a matrix with a CR in a label is quoted throughout
@@ -144,6 +145,9 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     writer.writerow(["offsets", *matrix.destination_offsets])
     for row in matrix.rows:
         cells, last = [""] * len(matrix.destination_labels), -1
+        for what, value in (("offset", row.source_offset), *(("weight", w) for _, w in row.cells)):
+            if type(value) is not int:
+                raise ValueError(f"row {row.source_label!r}: {what} {value!r} is not an int")
         for column, weight in row.cells:
             if type(column) is not int or not 0 <= column < len(cells):  # not a bool or float
                 raise ValueError(f"row {row.source_label!r}: no destination in column {column!r}")

@@ -280,6 +280,22 @@ def test_emit_refuses_a_cell_in_no_column(column):
         emit_build_matrix(BuildMatrix(("A", "B"), (1, 2), (row,)))
 
 
+@pytest.mark.parametrize("value", [1.5, True, "7"])
+@pytest.mark.parametrize("place", ["weight", "source offset", "destination offset"])
+def test_emit_refuses_a_number_that_is_not_an_int(place, value):
+    # written as it is, each would read back as NonIntegerCell
+    weight, source_offset, offsets = 7, 0, (1, 2)
+    if place == "weight":
+        weight, message = value, f"row 'S': weight {value!r} is not an int"
+    elif place == "source offset":
+        source_offset, message = value, f"row 'S': offset {value!r} is not an int"
+    else:
+        offsets, message = (1, value), f"destination 'B': offset {value!r} is not an int"
+    row = MatrixRow("S", source_offset, ((0, 5), (1, weight)))
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        emit_build_matrix(BuildMatrix(("A", "B"), offsets, (row,)))
+
+
 @pytest.mark.parametrize("cells, details, edges", [
     (((0, 5), (0, 3), (1, 7)), ["column 0 after column 0"], [("A", 5), ("B", 7)]),
     (((1, 5), (0, 3), (1, 7)), ["column 0 after column 1", "column 1 after column 1"],

@@ -111,15 +111,16 @@ def invent_for_source(graph: ConicGraph, source: NodeId,
         raise NotASource(f"node {node.label!r} is a {node.kind.value}")
     cap = inf if policy is None else policy.allowable
     invented: list[InventedEdge] = []
+    new = tuple.__new__  # builds a record without the NamedTuple's Python-level __new__
     # frozen and node are checked above: read the original adjacency unchecked
     for (first, w1), (second, w2) in pairwise(graph._original[source]):
         weight = absolute_edge_difference(w1, w2)
         if weight > cap:
             continue
         if w1 < w2:
-            invented.append(InventedEdge(source, first, second, weight, (w1, w2)))
+            invented.append(new(InventedEdge, (source, first, second, weight, (w1, w2))))
         else:
-            invented.append(InventedEdge(source, second, first, weight, (w2, w1)))
+            invented.append(new(InventedEdge, (source, second, first, weight, (w2, w1))))
     return invented
 
 

@@ -8,20 +8,22 @@ File layout (UTF-8, comma-separated, LF):
     ...
 
 Destination offsets are positive and strictly increasing; an empty cell
-means "no edge", so a MatrixRow keeps only its populated cells, and past
-one C-level pass over the text, parsing and building work per populated
-cell. Every number in a file is ASCII ``-?[0-9]+``. Hidden paths travel in
-their own CSV with the header ``from,to,true_weight``, one row per
-unordered pair of distinct destinations. Parsing and graph building run
-with the cyclic collector paused (graph._collector_paused).
+means "no edge", so a MatrixRow keeps only its populated cells. csv reads a
+text only if it holds a '"' or a CR or a line past csv's field size limit;
+any other is split at LF, and a row costs a few C-level passes over its line
+and Python work per populated cell. Every number in a file is ASCII
+``-?[0-9]+``. Hidden paths travel in their own CSV with the header
+``from,to,true_weight``, one row per unordered pair of distinct destinations.
+Parsing and graph building pause the collector (graph._collector_paused).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, compress
 from operator import lt
 
 from .errors import (
@@ -36,6 +38,9 @@ from .errors import (
 )
 from .graph import ConicGraph, NodeId, NodeKind, Violation, _collector_paused
 from .invention import HiddenPath
+
+_COMMA_RUNS = re.compile(r"(,+)")
+_INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")  # number tokens joined by commas
 
 
 @dataclass(frozen=True)
@@ -52,13 +57,22 @@ class BuildMatrix:
     rows: tuple[MatrixRow, ...]
 
 
+def _ints(tokens: list[str]) -> list[int] | None:
+    """The one grammar of every number in a file, ASCII ``-?[0-9]+``, checked by
+    one regex over all the tokens: their ints, or None if one breaks it."""
+    try:  # int() refuses more digits than it converts, and a csv field holding a comma
+        return list(map(int, tokens)) if _INTS.fullmatch(",".join(tokens)) else None
+    except ValueError:
+        return None
+
+
 def _int_cell(token: str, line: int, what: str) -> int:
-    """The one grammar of every number in a file: ASCII ``-?[0-9]+``."""
-    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
-        try:
+    """One number by the one grammar (_INTS), or a NonIntegerCell that names it."""
+    try:
+        if _INTS.fullmatch(token):
             return int(token)
-        except ValueError:  # more digits than int() converts
-            pass
+    except ValueError:  # more digits than int() converts, or a comma
+        pass
     raise NonIntegerCell(line, f"{what} {token!r} is not an integer")
 
 
@@ -70,14 +84,21 @@ def _check_increasing(prev: int, cur: int, line: int, what: str) -> None:
         raise DuplicateOffsetInFile(line, f"{what} offsets must increase, {cur} after {prev}")
 
 
-def _records(text: str) -> list[tuple[int, list[str]]]:
-    """(line, record) CSV pairs without trailing blank lines, which are harmless;
-    the line is the physical one a record ends on, where a row's cells are."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        records = [(reader.line_num, record) for record in reader]
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise ParseError(reader.line_num, str(exc)) from None
+def _records(text: str) -> list[tuple[int, int, list[str]]]:
+    """(line, field count, fields) per CSV record, without trailing blank lines,
+    which are harmless; the line is the physical one a record ends on. A text csv
+    would only split at commas (no '"', CR or line over its field size limit) is split
+    at LF, each record past the second into two fields and the rest of its line."""
+    lines = text.split("\n")
+    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
+        reader = csv.reader(io.StringIO(text))
+        try:
+            records = [(reader.line_num, len(record), record) for record in reader]
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise ParseError(reader.line_num, str(exc)) from None
+    else:
+        records = [(n, line.count(",") + 1 if line else 0, line.split(",", -1 if n < 3 else 2))
+                   for n, line in enumerate(lines, 1)]
     while records and not records[-1][1]:
         records.pop()
     return records
@@ -91,63 +112,76 @@ def parse_build_matrix(text: str) -> BuildMatrix:
     the last one of a record that spans lines.
     """
     records = _records(text)
-    line, header = records[0] if records else (1, [])
+    line, _, header = records[0] if records else (1, 0, [])
     if not header or header[0] != "destinations":
         raise MalformedHeader(line, "expected a 'destinations,<labels...>' line")
     labels = tuple(header[1:])
     if any(not label for label in labels):
         raise MalformedHeader(line, "destination labels must be non-empty")
     # a missing offsets record would start on the line after the header
-    line, record = records[1] if len(records) > 1 else (line + 1, [])
+    line, _, record = records[1] if len(records) > 1 else (line + 1, 0, [])
     if not record or record[0] != "offsets":
         raise MalformedHeader(line, "expected an 'offsets,<integers...>' line")
     if len(record) - 1 != len(labels):
         raise MalformedHeader(line, f"{len(record) - 1} offsets for {len(labels)} destinations")
-    offsets = tuple(_int_cell(tok, line, "offset") for tok in record[1:])
+    offsets = tuple(_ints(record[1:]) or [_int_cell(tok, line, "offset") for tok in record[1:]])
     for prev, cur in zip(offsets, offsets[1:]):
         _check_increasing(prev, cur, line, "destination")
     if offsets and offsets[0] <= 0:
         raise MalformedHeader(line, "destination offsets must be positive")
 
     rows: list[MatrixRow] = []
-    last_offset: int | None = None
-    for line, record in records[2:]:
-        if not record:
+    for line, count, record in records[2:]:
+        if not count:
             raise RaggedRow(line, "blank row inside the matrix body")
-        if len(record) != 2 + len(labels):
-            raise RaggedRow(line, f"{len(record) - 2} cells for {len(labels)} destinations")
-        offset = _int_cell(record[1], line, "source offset")
-        if last_offset is not None:
-            _check_increasing(last_offset, offset, line, "source")
-        last_offset = offset
-        cells, at = [], 1
-        for tok in filter(None, islice(record, 2, None)):
-            at = record.index(tok, at + 1)  # it passes over "" only: tok's own field
-            cells.append((at - 2, _int_cell(tok, line, "cell")))
-        rows.append(MatrixRow(record[0], offset, tuple(cells)))
+        if count != 2 + len(labels):
+            raise RaggedRow(line, f"{count - 2} cells for {len(labels)} destinations")
+        if len(record) == count:  # every field apart: read by csv, or at most one cell
+            tokens, columns = record[2:], range(len(labels))
+        else:  # the cell text, split at its comma runs, whose lengths sum to columns
+            parts = _COMMA_RUNS.split(record[2])
+            tokens, columns = parts[::2], accumulate(map(len, parts[1::2]), initial=0)
+        numbers = [record[1], *filter(None, tokens)]
+        offset, *weights = _ints(numbers) or [_int_cell(record[1], line, "source offset")]
+        if rows:
+            _check_increasing(rows[-1].source_offset, offset, line, "source")
+        weights = weights or [_int_cell(tok, line, "cell") for tok in numbers[1:]]  # or raises
+        rows.append(MatrixRow(record[0], offset, tuple(zip(compress(columns, tokens), weights))))
     return BuildMatrix(labels, offsets, tuple(rows))
 
 
 def emit_build_matrix(matrix: BuildMatrix) -> str:
     """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting). What
-    parse_build_matrix would not read back raises ValueError: a cell in no column
-    or not past the one before it, and an offset or weight that is not an int."""
-    for label, offset in zip(matrix.destination_labels, matrix.destination_offsets):
+    parse_build_matrix would not read back raises ValueError: an empty destination
+    label, an offset count unequal to the label count, an offset or weight that is
+    not an int, an offset not past the one before it on its axis (the first
+    destination's past 0), and a cell in no column or not past the one before it."""
+    dests, offsets = matrix.destination_labels, matrix.destination_offsets
+    if len(offsets) != len(dests):
+        raise ValueError(f"{len(offsets)} offsets for {len(dests)} destinations")
+    for label, offset, prev in zip(dests, offsets, (0, *offsets)):
+        if not label:
+            raise ValueError("destination labels must be non-empty")
         if type(offset) is not int:  # not a bool, float or str, as for a column
             raise ValueError(f"destination {label!r}: offset {offset!r} is not an int")
+        if offset <= prev:
+            raise ValueError(f"destination {label!r}: offset {offset} not past {prev}")
     out = io.StringIO()
     # a writer that ends lines in LF leaves a CR bare, and a reader ends the
     # line there; so a matrix with a CR in a label is quoted throughout
     labels = (*matrix.destination_labels, *(row.source_label for row in matrix.rows))
     quoting = csv.QUOTE_ALL if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
     writer = csv.writer(out, lineterminator="\n", quoting=quoting)
-    writer.writerow(["destinations", *matrix.destination_labels])
-    writer.writerow(["offsets", *matrix.destination_offsets])
-    for row in matrix.rows:
-        cells, last = [""] * len(matrix.destination_labels), -1
+    writer.writerow(["destinations", *dests])
+    writer.writerow(["offsets", *offsets])
+    for row, prev in zip(matrix.rows, (None, *(r.source_offset for r in matrix.rows))):
+        cells, last = [""] * len(dests), -1
         for what, value in (("offset", row.source_offset), *(("weight", w) for _, w in row.cells)):
             if type(value) is not int:
                 raise ValueError(f"row {row.source_label!r}: {what} {value!r} is not an int")
+        if prev is not None and row.source_offset <= prev:
+            raise ValueError(f"row {row.source_label!r}: offset {row.source_offset} "
+                             f"not past {prev}")
         for column, weight in row.cells:
             if type(column) is not int or not 0 <= column < len(cells):  # not a bool or float
                 raise ValueError(f"row {row.source_label!r}: no destination in column {column!r}")
@@ -243,13 +277,13 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
     so is a destination paired with itself.
     """
     records = _records(text)
-    if not records or records[0][1] != ["from", "to", "true_weight"]:
+    if not records or records[0][2] != ["from", "to", "true_weight"]:
         raise MalformedHeader(1, "expected header 'from,to,true_weight'")
     paths: dict[frozenset[NodeId], HiddenPath] = {}
     first_line: dict[frozenset[NodeId], int] = {}
-    for line, record in records[1:]:
-        if len(record) != 3:
-            raise RaggedRow(line, f"expected 3 fields, got {len(record)}")
+    for line, count, record in records[1:]:
+        if count != 3:
+            raise RaggedRow(line, f"expected 3 fields, got {count}")
         try:
             src = g.node_by_label(record[0])
             dst = g.node_by_label(record[1])

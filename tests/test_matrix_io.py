@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conicroute import matrix_io
+from conicroute.cli import main
 from conicroute.dijkstra import shortest_paths
 from conicroute.errors import (
     ConicRouteError,
@@ -34,7 +36,7 @@ from conicroute.matrix_io import (
     to_graph,
 )
 
-from conftest import label_id
+from conftest import MATRIX_PATH, label_id
 from test_invention import _later_lighter_graph, _parallel_graph, parallel_conic_graphs
 
 
@@ -212,13 +214,13 @@ def test_ingestion_reads_only_the_populated_cells(monkeypatch):
             cells[column] = str(weight)
         rows.append(f"s{i},{i}," + ",".join(cells))
         expected.append(MatrixRow(f"s{i}", i, pairs))
-    read, int_cell = [], matrix_io._int_cell
+    read, ints = [], matrix_io._ints
 
-    def counting(token, line, what):
-        read.append(token)
-        return int_cell(token, line, what)
+    def counting(tokens):  # the one grammar step every number of a row goes through
+        read.extend(tokens)
+        return ints(tokens)
 
-    monkeypatch.setattr(matrix_io, "_int_cell", counting)
+    monkeypatch.setattr(matrix_io, "_ints", counting)
     matrix = parse_build_matrix(_wide_text(n_dest, *rows))
     assert matrix.rows == tuple(expected)
     assert len(read) == n_dest + 3 + 60  # offsets, source offsets, populated cells
@@ -247,6 +249,121 @@ def test_a_bad_cell_after_a_label_that_spans_lines_is_reported(token):
 def test_a_quoted_number_is_an_edge_and_a_quoted_empty_cell_is_no_edge():
     matrix = parse_build_matrix('destinations,A,B,C\noffsets,1,2,3\nS,0,"5","",7\n')
     assert matrix.rows == (MatrixRow("S", 0, ((0, 5), (2, 7))),)
+
+
+def _outcome(text: str, parse=parse_build_matrix):
+    """What a parse makes of a text: its result, or its error's type, line and
+    message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+# cell text of every kind the grammar sees: none, numbers, text that int()
+# would read, and more digits than int() converts
+_GOOD_TOKENS = st.sampled_from(["", "", "", "7", "-3", "007", "42"])
+_CELL_TOKENS = _GOOD_TOKENS | st.sampled_from(["x", " 3", "1_0", "\u0663", "9" * 5000])
+_LABEL_CHARS = st.sampled_from("aZ 9\x00\x0b\u2028\u00e9")
+
+
+@st.composite
+def quote_free_texts(draw) -> str:
+    """A matrix text without '"' or CR, often well-formed and often not: blank
+    and trailing lines, ragged rows, empty labels and cells outside the grammar."""
+    n_dest, mangled = draw(st.integers(0, 4)), draw(st.integers(0, 5)) == 0
+    labels = st.text(_LABEL_CHARS, min_size=0 if mangled else 1, max_size=3)
+    header = ["destinations", *draw(st.lists(labels, min_size=n_dest, max_size=n_dest))]
+    offsets = [str(j + 1) for j in range(n_dest)]
+    if draw(st.integers(0, 5)) == 0:
+        offsets = draw(st.lists(_CELL_TOKENS, min_size=n_dest, max_size=n_dest + 1))
+    lines = [",".join(header), ",".join(["offsets", *offsets])]
+    for i in range(draw(st.integers(0, 4))):
+        odd = draw(st.integers(0, 11))  # 1 to 3 break the row, 0 puts a line after it
+        cells = _CELL_TOKENS if odd == 1 else _GOOD_TOKENS
+        fields = [draw(st.text(_LABEL_CHARS, max_size=3)),
+                  draw(_CELL_TOKENS) if odd == 2 else str(i),
+                  *draw(st.lists(cells, min_size=n_dest, max_size=n_dest)), "5"]
+        lines.append(",".join(fields[:draw(st.integers(1, len(fields))) if odd == 3 else -1]))
+        if odd == 0:
+            lines.append(draw(st.sampled_from(["", ",", ",,,"])))
+    lines = lines[:draw(st.integers(1, len(lines)))] if mangled else lines
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n\n\n"]))
+
+
+@settings(max_examples=300)
+@given(quote_free_texts())
+@example("destinations,A\noffsets,1\nS,0,\n\n")
+@example("destinations\noffsets\nS,0\nT\n")
+def test_a_quote_free_text_reads_as_its_quoted_twin(text):
+    # the quoted first field sends the twin through csv: both paths agree
+    twin = '"destinations"' + text.removeprefix("destinations")
+    assert '"' not in text and _outcome(text) == _outcome(twin)
+
+
+_ENDS = st.sampled_from(["CMC", "MC", "PC", "SC", "Rumuomasi", "", "x"])
+_WEIGHTS = st.sampled_from(["5", "70", "-5", "", " 3", "9" * 5000])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_ENDS, _ENDS, _WEIGHTS).map(list) | st.lists(_ENDS, max_size=4),
+                max_size=4), st.sampled_from(["", "\n", "\n\n"]))
+def test_a_quote_free_hidden_path_text_reads_as_its_quoted_twin(hospital_graph, rows, end):
+    text = "\n".join(["from,to,true_weight", *map(",".join, rows)]) + end
+    parse = lambda text: parse_hidden_paths(text, hospital_graph)
+    assert _outcome(text, parse) == _outcome('"from"' + text.removeprefix("from"), parse)
+
+
+def _raising_reader(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+def test_a_quote_free_text_is_read_without_csv(monkeypatch, capsys):
+    rng = random.Random(28)
+    rows = [f"s{i},{i}," + ",".join(str(rng.randint(1, 999)) if rng.random() < 0.02 else ""
+                                    for _ in range(500)) for i in range(20)]
+    text = _wide_text(500, *rows)
+    expected = parse_build_matrix('"destinations"' + text.removeprefix("destinations"))
+    monkeypatch.setattr(matrix_io.csv, "reader", _raising_reader)
+    assert parse_build_matrix(text) == expected
+    assert sum(len(row.cells) for row in expected.rows) > 100
+    for command in ("build", "invent"):
+        assert main([command, str(MATRIX_PATH)]) == 0
+
+
+@pytest.mark.parametrize("text", ['destinations,"A"\noffsets,1\n',
+                                  "destinations,A\r\noffsets,1\r\n"], ids=["quote", "CR"])
+def test_a_text_with_a_quote_or_cr_is_read_by_csv(text, monkeypatch):
+    assert parse_build_matrix(text) == BuildMatrix(("A",), (1,), ())
+    monkeypatch.setattr(matrix_io.csv, "reader", _raising_reader)
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        parse_build_matrix(text)
+
+
+@pytest.mark.parametrize("row, message", [
+    ('S,0,"1,2",x', "cell '1,2' is not an integer"),
+    ('S,0,"1,2",', "cell '1,2' is not an integer"),
+    ('S,0,x,"1,2"', "cell 'x' is not an integer"),
+    ('S,"1,2",5,', "source offset '1,2' is not an integer"),
+])
+def test_a_csv_field_that_holds_a_comma_is_one_bad_cell(row, message):
+    with pytest.raises(NonIntegerCell) as err:
+        parse_build_matrix(f"destinations,A,B\noffsets,1,2\n{row}\n")
+    assert str(err.value) == f"line 3: {message}"
+
+
+_LONG = "L" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"destinations,A\noffsets,1\n{_LONG},0,5\n", 3), (f"destinations,{_LONG}\noffsets,1\n", 1),
+], ids=["source_label", "destination_label"])
+def test_a_label_over_the_csv_field_limit_is_a_parse_error(text, line):
+    # a quote-free text, but a line over the limit sends it through csv
+    with pytest.raises(ParseError) as err:
+        parse_build_matrix(text)
+    limit = csv.field_size_limit()
+    assert str(err.value) == f"line {line}: field larger than field limit ({limit})"
 
 
 def test_two_cells_of_one_weight_keep_their_columns():
@@ -294,6 +411,33 @@ def test_emit_refuses_a_number_that_is_not_an_int(place, value):
     row = MatrixRow("S", source_offset, ((0, 5), (1, weight)))
     with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
         emit_build_matrix(BuildMatrix(("A", "B"), offsets, (row,)))
+
+
+@pytest.mark.parametrize("labels, offsets, source_offsets, message", [
+    (("A", ""), (1, 2), (), "destination labels must be non-empty"),
+    (("A", "B"), (1,), (), "1 offsets for 2 destinations"),
+    (("A",), (1, 2), (), "2 offsets for 1 destinations"),
+    (("A", "B"), (2, 2), (), "destination 'B': offset 2 not past 2"),
+    (("A", "B"), (2, 1), (), "destination 'B': offset 1 not past 2"),
+    (("A",), (0,), (), "destination 'A': offset 0 not past 0"),
+    (("A",), (1,), (3, 3), "row 'S1': offset 3 not past 3"),
+    (("A",), (1,), (3, 2), "row 'S1': offset 2 not past 3"),
+], ids=["empty_label", "fewer_offsets", "more_offsets", "repeated_destination_offset",
+        "descending_destination_offsets", "first_destination_offset_zero",
+        "repeated_source_offset", "descending_source_offsets"])
+def test_emit_refuses_a_header_or_offset_that_parse_refuses(labels, offsets, source_offsets,
+                                                            message):
+    # written, each would read back as MalformedHeader or DuplicateOffset
+    rows = tuple(MatrixRow(f"S{i}", offset, ()) for i, offset in enumerate(source_offsets))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_build_matrix(BuildMatrix(labels, offsets, rows))
+
+
+def test_a_negative_source_offset_is_written_and_read_back():
+    matrix = BuildMatrix(("A",), (1,), (MatrixRow("S", -1, ((0, 5),)),))
+    assert parse_build_matrix(emit_build_matrix(matrix)) == matrix
+    assert build_graph(matrix)[1] == [Violation("InvalidNode",
+                                                "offset must be non-negative, got -1")]
 
 
 @pytest.mark.parametrize("cells, details, edges", [

@@ -13,7 +13,8 @@ and only within the rank window between its endpoints; it either closes a
 cycle or reorders the nodes of that window. add_edge and extend() share
 the one step that accepts an edge by this rule, _accept(). A matrix row
 whose every edge add_edge would accept, forward in rank, skips it:
-_add_row adds the whole row at once, for build_graph.
+_add_row adds the whole row at once, for build_graph. Beside it, _add_nodes
+adds every node of one kind at once when every add_node call would succeed.
 
 Edges are data: each node's adjacency in _out is (dst, weight) pairs, and
 a log (_log) holds (src, pairs, provenance) in insertion order, once per
@@ -24,7 +25,8 @@ in O(E), by out_edges in O(fan-out).
 
 A graph is immutable after freeze(), which drops the state only add_node
 and add_edge read and turns each adjacency list into a tuple sorted by
-target offset; a matrix row arrives in that order and is kept as it is.
+target offset; a matrix row arrives in that order and is kept as it is, and
+an empty list becomes () unsorted.
 freeze() also sets the original view _original, the one place where a run
 of parallel edges to one node is cut to its lightest edge, the one every
 shortest path takes. Derived edges (shortcuts, invented edges) never
@@ -39,10 +41,10 @@ from __future__ import annotations
 import enum
 import gc
 from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import wraps
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -160,6 +162,28 @@ class ConicGraph:
         self._by_offset[offset_key] = node_id
         return node_id
 
+    def _add_nodes(self, labels: Sequence[str], kind: NodeKind,
+                   offsets: Sequence[int]) -> list[NodeId] | None:
+        """add_node(labels[i], kind, offsets[i]) for every node of one kind in one
+        step, when every call would succeed; else add nothing and return None.
+        The returned ids are the ones the calls would return."""
+        keys = list(zip(repeat(kind is NodeKind.SOURCE), offsets))  # add_node's offset keys
+        if not (not self._frozen and len(labels) == len(offsets)  # frozen: no _by_offset
+                and set(map(type, labels)) <= {str} and all(labels)  # a non-empty str
+                and set(map(type, offsets)) <= {int} and min(offsets, default=0) >= 0
+                and len(set(labels)) == len(labels) and len(set(offsets)) == len(offsets)
+                and self._by_label.keys().isdisjoint(labels)
+                and self._by_offset.keys().isdisjoint(keys)):
+            return None
+        # one int per id, shared by every structure, as add_node shares node_id
+        ids = list(range(len(self._nodes), len(self._nodes) + len(labels)))
+        self._nodes += map(Node, ids, labels, repeat(kind), offsets)
+        self._out += ([] for _ in ids)
+        self._rank += ids
+        self._by_label.update(zip(labels, ids))
+        self._by_offset.update(zip(keys, ids))
+        return ids
+
     def add_edge(self, src: NodeId, dst: NodeId, weight: int) -> EdgeId:
         """Record an original edge; adjacency stays sorted by target offset."""
         self._require_mutable()
@@ -200,8 +224,8 @@ class ConicGraph:
             del self._by_offset, self._out_weights
             # a stable sort: parallel edges keep their order; a tuple is a row in order
             key = self._offset_key
-            self._out = [adj if type(adj) is tuple else tuple(sorted(adj, key=key))
-                         for adj in self._out]
+            self._out = [() if not adj else adj if type(adj) is tuple
+                         else tuple(sorted(adj, key=key)) for adj in self._out]
             self._original = self._out  # every edge so far is original
             # fewer (src, dst) pairs than edges: cut each parallel run to its lightest edge
             if sum(map(len, map(set, self._preds.values()))) < self._size:

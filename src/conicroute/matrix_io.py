@@ -9,7 +9,7 @@ File layout (UTF-8, comma-separated, LF):
 
 Destination offsets are positive and strictly increasing; an empty cell
 means "no edge", so a MatrixRow keeps only its populated cells. csv reads a
-text only if it holds a '"' or a CR or a line past csv's field size limit;
+text only if it holds a '"' or a CR or a field past csv's field size limit;
 any other is split at LF, and a row costs a few C-level passes over its line
 and Python work per populated cell. Every number in a file is ASCII
 ``-?[0-9]+``. Hidden paths travel in their own CSV with the header
@@ -87,10 +87,12 @@ def _check_increasing(prev: int, cur: int, line: int, what: str) -> None:
 def _records(text: str) -> list[tuple[int, int, list[str]]]:
     """(line, field count, fields) per CSV record, without trailing blank lines,
     which are harmless; the line is the physical one a record ends on. A text csv
-    would only split at commas (no '"', CR or line over its field size limit) is split
+    would only split at commas (no '"', CR or field over its field size limit) is split
     at LF, each record past the second into two fields and the rest of its line."""
-    lines = text.split("\n")
-    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
+    lines, limit = text.split("\n"), csv.field_size_limit()
+    # the limit is per field: only a line over it can hold a field over it
+    if '"' in text or "\r" in text or any(max(map(len, line.split(","))) > limit
+                                           for line in lines if len(line) > limit):
         reader = csv.reader(io.StringIO(text))
         try:
             records = [(reader.line_num, len(record), record) for record in reader]
@@ -155,7 +157,8 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     parse_build_matrix would not read back raises ValueError: an empty destination
     label, an offset count unequal to the label count, an offset or weight that is
     not an int, an offset not past the one before it on its axis (the first
-    destination's past 0), and a cell in no column or not past the one before it."""
+    destination's past 0), a cell in no column or not past the one before it, and
+    a label longer than csv's field size limit."""
     dests, offsets = matrix.destination_labels, matrix.destination_offsets
     if len(offsets) != len(dests):
         raise ValueError(f"{len(offsets)} offsets for {len(dests)} destinations")
@@ -171,6 +174,9 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     # line there; so a matrix with a CR in a label is quoted throughout
     labels = (*matrix.destination_labels, *(row.source_label for row in matrix.rows))
     quoting = csv.QUOTE_ALL if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
+    limit = csv.field_size_limit()  # read now: a process-wide setting the parse reads too
+    if max(map(len, labels), default=0) > limit:
+        raise ValueError(f"a label is longer than csv's field size limit ({limit})")
     writer = csv.writer(out, lineterminator="\n", quoting=quoting)
     writer.writerow(["destinations", *dests])
     writer.writerow(["offsets", *offsets])
@@ -199,9 +205,11 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
     Rows become source nodes, columns destination nodes, populated cells
     original edges. Anything the graph rejects, a cell in no column, or one
     whose column does not exceed the one before it (RaggedRow), is skipped
-    and recorded. A row whose every cell add_edge would accept is added in
-    one step by the graph's _add_row; any other row goes cell by cell through
-    add_edge, which alone decides each violation's code, detail and order.
+    and recorded. The graph's _add_nodes adds the sources, then the destinations,
+    each in one step when every add_node call would succeed, and its _add_row a
+    row whose every cell add_edge would accept; other nodes go one by one through
+    add_node and other rows cell by cell through add_edge, which alone decide
+    each violation's code, detail and order.
     So the returned graph is always frozen and valid, and the violations are
     the whole report (graph.validate of it is empty).
     """
@@ -218,10 +226,15 @@ def build_graph(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation]]:
             violations.append(Violation("InvalidNode", str(exc)))
         return None
 
-    source_ids = [attempt(g.add_node, row.source_label, NodeKind.SOURCE, row.source_offset)
-                  for row in matrix.rows]
-    dest_ids = [attempt(g.add_node, label, NodeKind.DESTINATION, offset)
-                for label, offset in zip(matrix.destination_labels, matrix.destination_offsets)]
+    def add_nodes(labels, kind: NodeKind, offsets) -> list[NodeId | None]:
+        """The nodes of one kind in one step, or add_node by add_node."""
+        return g._add_nodes(labels, kind, offsets) or [  # None, or [] for no nodes
+            attempt(g.add_node, label, kind, offset) for label, offset in zip(labels, offsets)]
+
+    source_ids = add_nodes([row.source_label for row in matrix.rows], NodeKind.SOURCE,
+                           [row.source_offset for row in matrix.rows])
+    dest_ids = add_nodes(matrix.destination_labels, NodeKind.DESTINATION,
+                         matrix.destination_offsets)
     # ascending columns reach ascending offsets, the order freeze() sorts a row into
     offsets = matrix.destination_offsets
     in_order = all(map(lt, offsets, offsets[1:]))

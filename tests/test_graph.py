@@ -89,6 +89,29 @@ def test_add_node_duplicate_offset_within_kind_rejected():
     g.add_node("c", NodeKind.DESTINATION, 0)
 
 
+def _node_state(g: ConicGraph) -> tuple:
+    return g.nodes, g._out, g._rank, g._by_label, g._by_offset
+
+
+def test_add_nodes_adds_what_add_node_would_or_nothing():
+    g, want = ConicGraph(), ConicGraph()
+    for graph in (g, want):
+        graph.add_node("a", NodeKind.SOURCE, 0)
+    assert g._add_nodes(["b", "c"], NodeKind.SOURCE, [1, 2]) == [1, 2]
+    assert [want.add_node(label, NodeKind.SOURCE, i) for i, label in ((1, "b"), (2, "c"))] \
+        == [1, 2]
+    assert _node_state(g) == _node_state(want)
+    # each has one add_node call that fails: a label or an offset already taken,
+    # or an offset for no label
+    for labels, offsets in ((["d", "a"], [3, 4]), (["d", "e"], [3, 2]), (["d"], [3, 4])):
+        assert g._add_nodes(labels, NodeKind.SOURCE, offsets) is None
+        assert _node_state(g) == _node_state(want)
+    assert g._add_nodes(["d"], NodeKind.DESTINATION, [2]) == [3]  # offsets are per kind
+    g.freeze()
+    assert g._add_nodes(["e"], NodeKind.SOURCE, [5]) is None
+    assert g.node_count == 4
+
+
 def test_add_edge_original_provenance():
     g = ConicGraph()
     s = g.add_node("s", NodeKind.SOURCE, 0)
@@ -658,10 +681,16 @@ def test_the_hot_paths_build_no_edge_and_a_matrix_freezes_unsorted(monkeypatch, 
         keyed.append(pair)
         return real_key(self, pair)
 
+    def counting_sort(*args, **kwargs):
+        keyed.append(args)
+        return sorted(*args, **kwargs)
+
     monkeypatch.setattr(graph_module, "Edge", no_edge)
     monkeypatch.setattr(ConicGraph, "_offset_key", counting_key)
+    monkeypatch.setattr(graph_module, "sorted", counting_sort, raising=False)
     g = to_graph(parse_build_matrix(MATRIX_PATH.read_text(encoding="utf-8")))
-    assert keyed == []  # a clean matrix's rows arrive in offset order
+    # a clean matrix's rows arrive in offset order, and a destination's empty list is ()
+    assert keyed == []
     for node in g.nodes:
         for use_invented in (False, True):
             shortest_paths(g, node.id, use_invented)

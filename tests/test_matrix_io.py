@@ -366,6 +366,36 @@ def test_a_label_over_the_csv_field_limit_is_a_parse_error(text, line):
     assert str(err.value) == f"line {line}: field larger than field limit ({limit})"
 
 
+def test_a_header_line_over_the_csv_field_limit_is_read_without_csv(monkeypatch):
+    # 14,000 labels of 9 characters: the header line is over the limit, no field is
+    n_dest, rng = 14_000, random.Random(29)
+    labels = ",".join(f"dest{j:05d}" for j in range(n_dest))
+    rows = [f"s{i},{i}," + ",".join(str(rng.randint(1, 999)) if rng.random() < 0.01 else ""
+                                    for _ in range(n_dest)) for i in range(3)]
+    text = "\n".join([f"destinations,{labels}",
+                      f"offsets,{','.join(str(j + 1) for j in range(n_dest))}", *rows]) + "\n"
+    assert len(text.split("\n", 1)[0]) > csv.field_size_limit()
+    expected = parse_build_matrix('"destinations"' + text.removeprefix("destinations"))
+    monkeypatch.setattr(matrix_io.csv, "reader", _raising_reader)
+    assert parse_build_matrix(text) == expected
+    assert len(expected.destination_labels) == n_dest and expected.rows[2].cells
+
+
+@pytest.mark.parametrize("where", ["destination", "source"])
+def test_emit_refuses_a_label_over_the_csv_field_limit(where):
+    limit = csv.field_size_limit()
+
+    def matrix(label: str) -> BuildMatrix:
+        dest, source = (label, "S") if where == "destination" else ("A", label)
+        return BuildMatrix((dest,), (1,), (MatrixRow(source, 0, ((0, 5),)),))
+
+    with pytest.raises(ValueError) as err:
+        emit_build_matrix(matrix("L" * (limit + 1)))
+    assert str(err.value) == f"a label is longer than csv's field size limit ({limit})"
+    at_limit = matrix("L" * limit)
+    assert parse_build_matrix(emit_build_matrix(at_limit)) == at_limit
+
+
 def test_two_cells_of_one_weight_keep_their_columns():
     matrix = parse_build_matrix("destinations,A,B,C,D\noffsets,1,2,3,4\nS,0,,15,,15\n")
     assert matrix.rows == (MatrixRow("S", 0, ((1, 15), (3, 15))),)
@@ -501,16 +531,29 @@ def _build_cell_by_cell(matrix: BuildMatrix) -> tuple[ConicGraph, list[Violation
 def hand_built_matrices(draw) -> BuildMatrix:
     """Matrices whose rows are often clean, and otherwise break one rule a
     row step must leave to add_edge: a weight that is a bool, a float, 0,
-    negative or repeated, a column out of range or repeated, a destination or
-    a source whose add_node fails (a label given twice)."""
+    negative or repeated, a column out of range or repeated. Their nodes are
+    often clean too, and otherwise break one rule a node step must leave to
+    add_node: an empty label or one not a str, a label given twice (within a
+    kind or by a source and a destination), an offset that is a bool, a float
+    or negative, or an offset given twice within a kind."""
     n_dest, n_src = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     labels = draw(st.lists(st.sampled_from("ABCDEFGH"), min_size=n_dest + n_src,
                            max_size=n_dest + n_src, unique=True))
-    if labels and draw(st.booleans()):
-        at = st.integers(0, len(labels) - 1)
-        labels[draw(at)] = labels[draw(at)]
+    offsets = [*range(1, n_dest + 1), *range(n_src)]
+    if labels and draw(st.booleans()):  # a spoiled node
+        at = draw(st.integers(0, len(labels) - 1))
+        kin = range(n_dest) if at < n_dest else range(n_dest, len(labels))
+        spoil = draw(st.sampled_from(["empty", "label", "offset", "repeat"]))
+        if spoil == "empty":  # or not a str
+            labels[at] = draw(st.sampled_from(["", 7]))
+        elif spoil == "label":  # another node's, of either kind
+            labels[at] = labels[draw(st.integers(0, len(labels) - 1))]
+        elif spoil == "offset":
+            offsets[at] = draw(st.sampled_from([True, False, 2.0, 0.5, -1]))
+        else:  # another node's of its kind
+            offsets[at] = offsets[draw(st.sampled_from(kin))]
     rows = []
-    for label in labels[n_dest:]:
+    for label, offset in zip(labels[n_dest:], offsets[n_dest:]):
         columns = sorted(draw(st.sets(st.integers(0, max(n_dest - 1, 0)), max_size=n_dest)))
         weights = draw(st.lists(st.integers(1, 99), min_size=len(columns),
                                 max_size=len(columns), unique=True))
@@ -522,8 +565,8 @@ def hand_built_matrices(draw) -> BuildMatrix:
         if draw(st.booleans()):  # a stray cell
             cells.insert(draw(st.integers(0, len(cells))),
                          (draw(st.integers(-1, n_dest)), draw(st.integers(1, 99) | bad)))
-        rows.append(MatrixRow(label, len(rows), tuple(cells)))
-    return BuildMatrix(tuple(labels[:n_dest]), tuple(range(1, n_dest + 1)), tuple(rows))
+        rows.append(MatrixRow(label, offset, tuple(cells)))
+    return BuildMatrix(tuple(labels[:n_dest]), tuple(offsets[:n_dest]), tuple(rows))
 
 
 def _one_row(*cells, labels=("A", "B"), source="s") -> BuildMatrix:
@@ -543,6 +586,18 @@ def _one_row(*cells, labels=("A", "B"), source="s") -> BuildMatrix:
 @example(_one_row((0, 5), (1, 3), labels=("A", "A")))  # a destination's add_node fails
 @example(BuildMatrix(("A",), (1,), (MatrixRow("s", 0, ((0, 5),)),
                                     MatrixRow("s", 1, ((0, 3),)))))  # a source's fails
+@example(_one_row((0, 5), (1, 3), labels=("A", "")))  # an empty destination label
+@example(_one_row((0, 5), (1, 3), source=""))  # an empty source label
+@example(_one_row((0, 5), (1, 3), source="B"))  # a label of a source and a destination
+@example(BuildMatrix(("A", "B"), (1, True), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # a bool
+@example(BuildMatrix(("A", "B"), (1, 2.0), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # a float
+@example(BuildMatrix(("A", "B"), (-1, 2), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # negative
+@example(BuildMatrix(("A", "B"), (2, 2), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # repeated
+@example(BuildMatrix(("A",), (1,), (MatrixRow("s", 0, ((0, 5),)),
+                                    MatrixRow("t", 0, ((0, 3),)))))  # a source offset twice
+@example(_one_row((0, 5), (1, 3), labels=("A", 7)))  # a label that is not a str
+@example(BuildMatrix(("A", "B"), (1,), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # one offset
+@example(BuildMatrix(("A",), (1, 2), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # one label
 def test_build_graph_equals_the_cell_by_cell_reference(matrix):
     g, violations = build_graph(matrix)
     want, want_violations = _build_cell_by_cell(matrix)
@@ -579,6 +634,27 @@ def test_only_a_row_with_a_bad_cell_calls_add_edge(monkeypatch, matrix_text):
     assert [v.code for v in violations] == ["NonPositiveWeight"]
     assert g.edge_count == 599
     assert calls == [label_id(g, "s7")] * 20
+
+
+def test_only_a_matrix_with_a_bad_node_calls_add_node(monkeypatch, matrix_text):
+    calls, add_node = [], ConicGraph.add_node
+
+    def counting(self, label, kind, offset):
+        calls.append(kind)
+        return add_node(self, label, kind, offset)
+
+    monkeypatch.setattr(ConicGraph, "add_node", counting)
+    assert to_graph(parse_build_matrix(matrix_text)).node_count == 12
+    clean = _clean_matrix(random.Random(29), 30, 100, 20)
+    assert to_graph(clean).node_count == 130
+    assert calls == []
+    labels = list(clean.destination_labels)
+    labels[5] = ""
+    g, violations = build_graph(BuildMatrix(tuple(labels), clean.destination_offsets,
+                                            clean.rows))
+    assert violations == [Violation("InvalidNode", "node label must be non-empty")]
+    assert g.node_count == 129
+    assert calls == [NodeKind.DESTINATION] * 100
 
 
 def test_roundtrip_is_lossless(matrix_text):

@@ -94,27 +94,32 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
     state = shortest_paths(graph, source.id)
 
     # the search and the pair walk yield only ids of this graph: read them unchecked
-    nodes = graph._nodes
-    # the drained search settled exactly the nodes with a finite label
-    reachable = [
-        (state.dist[node_id], nodes[node_id].offset, node_id)
-        for node_id in state.settled_order
-        if nodes[node_id].kind is NodeKind.DESTINATION
-    ]
-    best = None
-    if reachable:
-        _, _, best_id = min(reachable)
+    nodes, dist = graph._nodes, state.dist
+    # the search settles in (label, id) order: the best (label, offset, id) is the
+    # first destination settled or one tied with it, so the walk stops past its label
+    best = best_id = None
+    for node_id in state.settled_order:
+        node = nodes[node_id]
+        if best_id is None:
+            if node.kind is NodeKind.DESTINATION:
+                best_id, bound, offset = node_id, dist[node_id], node.offset
+        elif dist[node_id] > bound:
+            break
+        elif node.kind is NodeKind.DESTINATION and node.offset < offset:
+            best_id, offset = node_id, node.offset
+    if best_id is not None:
         path = path_to(state, best_id)
         best = (nodes[best_id].label, path.distance, [nodes[n].label for n in path.nodes])
 
     alternates: list[Alternate] = []
     if invent:
-        by_pair = hidden or {}
+        new = tuple.__new__  # builds a record without the NamedTuple's Python-level __new__
         for edge in invent_for_source(graph, source.id, policy):
-            path = by_pair.get(frozenset((edge.src, edge.dst)))
-            alternates.append(Alternate(
-                nodes[edge.src].label, nodes[edge.dst].label, edge.weight, edge.pair_weights,
-                None if path is None else fitness(edge, path, tolerance)))
+            _, src, dst, weight, pair_weights = edge
+            known = hidden.get(frozenset((src, dst))) if hidden else None
+            alternates.append(new(Alternate, (
+                nodes[src].label, nodes[dst].label, weight, pair_weights,
+                None if known is None else fitness(edge, known, tolerance))))
     return QueryResult(source.label, best, alternates)
 
 

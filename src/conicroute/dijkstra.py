@@ -64,8 +64,11 @@ class SearchState:
 
     ``dist`` is a read-only total map over the graph's nodes in which a
     node not reached reads inf. ``pred`` holds reached nodes only, the
-    source mapped to None. A state belongs to a single query; any number of
-    queries may run concurrently over one frozen graph.
+    source mapped to None. ``settled_order`` holds the reached nodes in the
+    order they settled: non-decreasing in label, and of two nodes with one
+    label the smaller id first; cmd_query reads its best destination off
+    that order. A state belongs to a single query; any number of queries may
+    run concurrently over one frozen graph.
     """
 
     source: NodeId

@@ -154,16 +154,20 @@ def fitness(invented: InventedEdge, hidden: HiddenPath,
         )
     absolute_error = abs(invented.weight - hidden.true_weight)
     relative_error = Fraction(absolute_error, hidden.true_weight)
+    tolerance = _as_fraction(tolerance)
     return FitnessReport(
         invented_weight=invented.weight,
         hidden_weight=hidden.true_weight,
         absolute_error=absolute_error,
         relative_error=relative_error,
-        fit=relative_error <= _as_fraction(tolerance),
+        # relative_error <= tolerance in ints, exact: both denominators are positive
+        fit=absolute_error * tolerance.denominator <= tolerance.numerator * hidden.true_weight,
     )
 
 
 def _as_fraction(tolerance: "Fraction | float | int | str") -> Fraction:
+    if type(tolerance) is Fraction and tolerance.numerator >= 0:
+        return tolerance  # already exact, as the CLI's --tolerance and the default are
     if not isinstance(tolerance, bool) and (not isinstance(tolerance, str)
                                             or _TOLERANCE.fullmatch(tolerance)):
         # Floats go through their decimal repr so that 0.1 means exactly 1/10.

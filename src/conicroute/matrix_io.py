@@ -157,9 +157,13 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     parse_build_matrix would not read back raises ValueError: an empty destination
     label, an offset count unequal to the label count, an offset or weight that is
     not an int, an offset not past the one before it on its axis (the first
-    destination's past 0), a cell in no column or not past the one before it, and
-    a label longer than csv's field size limit."""
+    destination's past 0), a cell in no column or not past the one before it, a
+    label that is not a str and a label longer than csv's field size limit."""
     dests, offsets = matrix.destination_labels, matrix.destination_offsets
+    labels = (*dests, *(row.source_label for row in matrix.rows))
+    for label in labels:
+        if not isinstance(label, str):  # the checks below read a label as text
+            raise ValueError(f"label {label!r} is not a str")
     if len(offsets) != len(dests):
         raise ValueError(f"{len(offsets)} offsets for {len(dests)} destinations")
     for label, offset, prev in zip(dests, offsets, (0, *offsets)):
@@ -172,7 +176,6 @@ def emit_build_matrix(matrix: BuildMatrix) -> str:
     out = io.StringIO()
     # a writer that ends lines in LF leaves a CR bare, and a reader ends the
     # line there; so a matrix with a CR in a label is quoted throughout
-    labels = (*matrix.destination_labels, *(row.source_label for row in matrix.rows))
     quoting = csv.QUOTE_ALL if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
     limit = csv.field_size_limit()  # read now: a process-wide setting the parse reads too
     if max(map(len, labels), default=0) > limit:

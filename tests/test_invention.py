@@ -31,8 +31,9 @@ from conicroute.invention import (
     invent_for_source,
     triangle_bounds,
 )
+from conicroute.matrix_io import parse_hidden_paths
 
-from conftest import label_id, random_conic
+from conftest import HIDDEN_PATH, label_id, random_conic
 
 
 def test_absolute_edge_difference_worked_example():
@@ -354,6 +355,46 @@ def test_a_numeric_tolerance_is_neither_negative_nor_a_bool(tolerance, fit):
         assert str(err.value) == f"not an unsigned decimal or ratio: {tolerance!r}"
     else:
         assert fitness(edge, hidden, tolerance).fit is fit
+
+
+@st.composite
+def errors_at_a_tolerance(draw) -> tuple:
+    """A tolerance p/q in one of its forms, a true weight m*q, an absolute
+    error of m*p (exactly the tolerance), one more or one less, and whether
+    that error is fit."""
+    form = draw(st.sampled_from(["fraction", "int", "float", "ratio", "decimal", "exponent"]))
+    p, k = draw(st.integers(0, 60)), draw(st.integers(0, 3))
+    q = 1 if form == "int" else 10 ** k if form in ("float", "decimal", "exponent") \
+        else draw(st.integers(1, 60))
+    tolerance = {"fraction": Fraction(p, q), "int": p, "float": p / q, "ratio": f"{p}/{q}",
+                 "decimal": repr(p / q), "exponent": f"{p}e-{k}"}[form]
+    m, step = draw(st.integers(1, 30)), draw(st.sampled_from((-1, 0, 1)))
+    return tolerance, m * q, max(0, m * p + step), step <= 0
+
+
+@settings(max_examples=300)
+@given(case=errors_at_a_tolerance(), below=st.booleans())
+def test_fit_is_the_exact_comparison_with_the_tolerance(case, below):
+    tolerance, true, error, fit = case
+    weight = true - error if below and error < true else true + error
+    report = fitness(InventedEdge(0, 1, 2, weight, (1, 1 + weight)),
+                     HiddenPath(1, 2, true), tolerance)
+    assert report.absolute_error == error
+    assert report.fit is (Fraction(error, true) <= invention._as_fraction(tolerance))
+    assert report.fit is fit
+
+
+def test_a_tolerance_outside_the_grammar_raises_only_at_a_graded_alternate(hospital_graph):
+    hidden = parse_hidden_paths(HIDDEN_PATH.read_text(encoding="utf-8"), hospital_graph)
+    # Ogunabali's one alternate, OC -> HC, has no hidden path; Rumuomasi's has one
+    for result in (cmd_query(hospital_graph, "Ogunabali", hidden=hidden, tolerance="bogus"),
+                   cmd_query(hospital_graph, "Rumuomasi", tolerance="bogus"),
+                   cmd_query(hospital_graph, "Rumuomasi", invent=False, hidden=hidden,
+                             tolerance="bogus")):
+        assert [a.fitness for a in result.invented_alternates] in ([], [None])
+    with pytest.raises(ValueError) as err:
+        cmd_query(hospital_graph, "Rumuomasi", hidden=hidden, tolerance="bogus")
+    assert str(err.value) == "not an unsigned decimal or ratio: 'bogus'"
 
 
 @pytest.mark.parametrize("weight", [0, -5, True], ids=["zero", "negative", "bool"])

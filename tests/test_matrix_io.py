@@ -396,6 +396,19 @@ def test_emit_refuses_a_label_over_the_csv_field_limit(where):
     assert parse_build_matrix(emit_build_matrix(at_limit)) == at_limit
 
 
+@pytest.mark.parametrize("matrix, label", [
+    (BuildMatrix((7,), (1,), ()), 7),
+    (BuildMatrix((0,), (1,), ()), 0),
+    (BuildMatrix(("A",), (1,), (MatrixRow(7, 0, ()),)), 7),
+    (BuildMatrix(("A",), (1,), (MatrixRow(b"S", 0, ((0, 5),)),)), b"S"),
+], ids=["destination", "falsy_destination", "source", "bytes_source"])
+def test_emit_refuses_a_label_that_is_not_a_str(matrix, label):
+    # the CR and length checks read a label as text: an int would raise TypeError there
+    with pytest.raises(ValueError) as err:
+        emit_build_matrix(matrix)
+    assert str(err.value) == f"label {label!r} is not a str"
+
+
 def test_two_cells_of_one_weight_keep_their_columns():
     matrix = parse_build_matrix("destinations,A,B,C,D\noffsets,1,2,3,4\nS,0,,15,,15\n")
     assert matrix.rows == (MatrixRow("S", 0, ((1, 15), (3, 15))),)

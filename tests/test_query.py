@@ -5,13 +5,14 @@ search through a source's own inventions changes nothing on a matrix."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicroute.cli import Alternate, cmd_query
-from conicroute.dijkstra import shortest_paths
+from conicroute.dijkstra import _Labels, path_to, shortest_paths
 from conicroute.graph import ConicGraph, Edge, NodeKind, Provenance
 from conicroute.invention import FitnessReport, HiddenPath, PolicyThreshold, invent_for_source
 from conicroute.matrix_io import BuildMatrix, MatrixRow, parse_build_matrix, to_graph
@@ -157,6 +158,60 @@ def test_best_skips_sources_and_breaks_distance_ties_by_offset():
     g.freeze()
     # s1 is nearer but is no destination; d and e tie at 6, e has the lower offset
     assert cmd_query(g, "s0", invent=False).best == ("e", 6, ["s0", "e"])
+
+
+@st.composite
+def mixed_dags(draw) -> ConicGraph:
+    """A general DAG of sources and destinations, destinations among them
+    with out-edges. Each node has up to three out-edges, weighing 1, 2 and 3
+    in some order, so that paths of two or more edges often tie."""
+    n = draw(st.integers(2, 10))
+    kinds = draw(st.lists(st.sampled_from(NodeKind), min_size=n, max_size=n))
+    offsets = draw(st.permutations(range(n)))  # unrelated to id order
+    g = ConicGraph()
+    for i, (kind, offset) in enumerate(zip(kinds, offsets)):
+        g.add_node(f"n{i}", kind, offset)
+    for i in range(n - 1):
+        # forward in id order, so no edge closes a cycle
+        targets = draw(st.lists(st.integers(i + 1, n - 1), min_size=min(2, n - 1 - i),
+                                max_size=3, unique=True))
+        for j, weight in zip(targets, draw(st.permutations((1, 2, 3)))):
+            g.add_edge(i, j, weight)
+    return g.freeze()
+
+
+@settings(max_examples=300)
+@given(g=mixed_dags())
+def test_best_is_the_least_label_offset_and_id_over_every_reached_destination(g):
+    for source in g.sources():
+        state = shortest_paths(g, source.id)
+        reached = [(state.dist[node.id], node.offset, node.id) for node in g.nodes
+                   if node.kind is NodeKind.DESTINATION and state.dist[node.id] < inf]
+        want = None
+        if reached:
+            distance, _, target = min(reached)
+            want = (g.node(target).label, distance,
+                    [g.node(n).label for n in path_to(state, target).nodes])
+        assert cmd_query(g, source.label, invent=False).best == want
+
+
+def test_best_reads_the_labels_of_ties_only(monkeypatch):
+    # 40 destinations, the nearest in the middle by offset: the walk reads its
+    # label and the next one settled, and path_to reads it once more
+    weights = [100 + (17 * j + 20) % 40 for j in range(40)]
+    row = MatrixRow("S", 0, tuple(enumerate(weights)))
+    g = to_graph(BuildMatrix(tuple(f"d{j}" for j in range(40)), tuple(range(1, 41)), (row,)))
+    reads = []
+    read = _Labels.__getitem__
+
+    def counted(self, key):
+        reads.append(key)
+        return read(self, key)
+
+    monkeypatch.setattr(_Labels, "__getitem__", counted)
+    result = cmd_query(g, "S")
+    assert result.best == ("d20", 100, ["S", "d20"]) and len(result.invented_alternates) == 39
+    assert len(reads) <= 3
 
 
 @settings(max_examples=150)

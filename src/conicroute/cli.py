@@ -94,18 +94,19 @@ def cmd_query(graph: ConicGraph, source_label: str, *,
     state = shortest_paths(graph, source.id)
 
     # the search and the pair walk yield only ids of this graph: read them unchecked
-    nodes, dist = graph._nodes, state.dist
+    # an Enum member is a slow class attribute: read it once
+    nodes, dist, destination = graph._nodes, state.dist, NodeKind.DESTINATION
     # the search settles in (label, id) order: the best (label, offset, id) is the
     # first destination settled or one tied with it, so the walk stops past its label
     best = best_id = None
     for node_id in state.settled_order:
         node = nodes[node_id]
         if best_id is None:
-            if node.kind is NodeKind.DESTINATION:
+            if node.kind is destination:
                 best_id, bound, offset = node_id, dist[node_id], node.offset
         elif dist[node_id] > bound:
             break
-        elif node.kind is NodeKind.DESTINATION and node.offset < offset:
+        elif node.kind is destination and node.offset < offset:
             best_id, offset = node_id, node.offset
     if best_id is not None:
         path = path_to(state, best_id)

@@ -31,15 +31,13 @@ so a graph without pairs, such as a matrix, builds none and extends to itself.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AlreadyContracted, BadOrder
 from .graph import ConicGraph, Edge, NodeId, Provenance
 
 
-@dataclass(frozen=True, slots=True)
-class Shortcut:
+class Shortcut(NamedTuple):
     """Derived edge standing in for the two-hop path src -> via -> dst."""
 
     src: NodeId
@@ -51,8 +49,7 @@ class Shortcut:
         return Edge(self.src, self.dst, self.weight, Provenance.SHORTCUT)
 
 
-@dataclass(frozen=True)
-class Overlay:
+class Overlay(NamedTuple):
     """A base graph plus the shortcuts produced by one contraction run."""
 
     base: ConicGraph

@@ -18,9 +18,9 @@ edge's provenance lives in the graph's log, which the search never reads.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
+from typing import NamedTuple
 
 from .errors import Unreachable
 from .graph import ConicGraph, NodeId
@@ -58,8 +58,7 @@ class _Labels(Mapping):
         return repr(dict(self.items()))
 
 
-@dataclass
-class SearchState:
+class SearchState(NamedTuple):
     """The finished search from one source.
 
     ``dist`` is a read-only total map over the graph's nodes in which a
@@ -77,8 +76,7 @@ class SearchState:
     settled_order: list[NodeId]
 
 
-@dataclass(frozen=True, slots=True)
-class PathResult:
+class PathResult(NamedTuple):
     target: NodeId
     distance: int
     nodes: tuple[NodeId, ...]
@@ -129,4 +127,4 @@ def path_to(state: SearchState, target: NodeId) -> PathResult:
     while (prev := state.pred[nodes[-1]]) is not None:
         nodes.append(prev)
     nodes.reverse()
-    return PathResult(target=target, distance=state.dist[target], nodes=tuple(nodes))
+    return PathResult(target, state.dist[target], tuple(nodes))

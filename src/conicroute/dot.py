@@ -23,6 +23,7 @@ _STYLE = {
     Provenance.SHORTCUT: ", style=dashed",
     Provenance.INVENTED: ", style=dotted",
 }
+_SHAPE = {NodeKind.SOURCE: "box", NodeKind.DESTINATION: "ellipse"}
 
 
 def _dot_id(label: str) -> str:
@@ -37,9 +38,7 @@ def export_dot(graph: ConicGraph, *, invented: Iterable[InventedEdge] | None = N
         return "digraph conic {}\n"
     lines = ["digraph conic {", "  rankdir=LR;"]
     label = [_dot_id(node.label) for node in graph.nodes]  # by node id
-    for node in graph.nodes:
-        shape = "box" if node.kind is NodeKind.SOURCE else "ellipse"
-        lines.append(f"  {label[node.id]} [shape={shape}];")
+    lines += [f"  {text} [shape={_SHAPE[node.kind]}];" for text, node in zip(label, graph.nodes)]
     # every edge, in insertion order; a log entry's style is looked up once
     lines += [f'  {label[src]} -> {label[dst]} [label="{weight}"{style}];'
               for src, pairs, provenance in graph._log for style in [_STYLE[provenance]]

@@ -21,7 +21,8 @@ a log (_log) holds (src, pairs, provenance) in insertion order, once per
 matrix row (sharing its pair tuple with _out), add_edge call and derived
 edge. extend() also keeps each derived edge's target and provenance by
 its source, in _derived. Edge objects are built only on demand: by edges
-in O(E), by out_edges in O(fan-out).
+in O(E), by out_edges in O(fan-out). Node, Edge and Violation, like every
+record of the package, are NamedTuples: immutable tuples of their fields.
 
 A graph is immutable after freeze(), which drops the state only add_node
 and add_edge read and turns each adjacency list into a tuple sorted by
@@ -42,10 +43,10 @@ import enum
 import gc
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import wraps
 from itertools import groupby, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     CycleCreated,
@@ -88,24 +89,21 @@ class Provenance(enum.Enum):
     INVENTED = "invented"
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     id: NodeId
     label: str
     kind: NodeKind
     offset: int
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     src: NodeId
     dst: NodeId
     weight: int
     provenance: Provenance = Provenance.ORIGINAL
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One node or edge that build_graph could not add; violations are data."""
 
     code: str
@@ -177,7 +175,8 @@ class ConicGraph:
             return None
         # one int per id, shared by every structure, as add_node shares node_id
         ids = list(range(len(self._nodes), len(self._nodes) + len(labels)))
-        self._nodes += map(Node, ids, labels, repeat(kind), offsets)
+        # builds each Node without the NamedTuple's Python-level __new__
+        self._nodes += map(tuple.__new__, repeat(Node), zip(ids, labels, repeat(kind), offsets))
         self._out += ([] for _ in ids)
         self._rank += ids
         self._by_label.update(zip(labels, ids))
@@ -311,10 +310,12 @@ class ConicGraph:
             raise UnknownNode(f"no node labelled {label!r}") from None
 
     def sources(self) -> list[Node]:
-        return [n for n in self._nodes if n.kind is NodeKind.SOURCE]
+        kind = NodeKind.SOURCE  # read once: an Enum member is a slow class attribute
+        return [n for n in self._nodes if n.kind is kind]
 
     def destinations(self) -> list[Node]:
-        return [n for n in self._nodes if n.kind is NodeKind.DESTINATION]
+        kind = NodeKind.DESTINATION
+        return [n for n in self._nodes if n.kind is kind]
 
     def out_edges(self, node_id: NodeId) -> tuple[Edge, ...]:
         """All outgoing edges, sorted ascending by target offset at freeze(),

@@ -20,7 +20,6 @@ invent_all runs with the cyclic collector paused (graph._collector_paused).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import inf
@@ -49,21 +48,31 @@ class InventedEdge(NamedTuple):
         return Edge(self.src, self.dst, self.weight, Provenance.INVENTED)
 
 
-@dataclass(frozen=True, slots=True)
-class HiddenPath:
+class _Positive(tuple):
+    """Base of a record whose last field is a positive int, however it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        if type(record[-1]) is not int or record[-1] <= 0:
+            raise ValueError(f"{record._fields[-1]} must be positive, got {record[-1]!r}")
+        return record
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check too
+        return cls(*iterable)
+
+
+# each base takes its record's name, which a wrong call's TypeError shows
+class HiddenPath(_Positive, NamedTuple("HiddenPath", [
+        ("src", NodeId), ("dst", NodeId), ("true_weight", int)])):
     """A real but unmapped path between two destinations."""
 
-    src: NodeId
-    dst: NodeId
-    true_weight: int
-
-    def __post_init__(self) -> None:
-        if type(self.true_weight) is not int or self.true_weight <= 0:
-            raise ValueError(f"true_weight must be positive, got {self.true_weight!r}")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FitnessReport:
+class FitnessReport(NamedTuple):
     invented_weight: int
     hidden_weight: int
     absolute_error: int
@@ -71,15 +80,10 @@ class FitnessReport:
     fit: bool
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyThreshold:
+class PolicyThreshold(_Positive, NamedTuple("PolicyThreshold", [("allowable", int)])):
     """Cap on how heavy an invention may be before it is suppressed."""
 
-    allowable: int
-
-    def __post_init__(self) -> None:
-        if type(self.allowable) is not int or self.allowable <= 0:
-            raise ValueError(f"allowable must be positive, got {self.allowable!r}")
+    __slots__ = ()
 
 
 def absolute_edge_difference(w1: int, w2: int) -> int:
@@ -155,14 +159,11 @@ def fitness(invented: InventedEdge, hidden: HiddenPath,
     absolute_error = abs(invented.weight - hidden.true_weight)
     relative_error = Fraction(absolute_error, hidden.true_weight)
     tolerance = _as_fraction(tolerance)
-    return FitnessReport(
-        invented_weight=invented.weight,
-        hidden_weight=hidden.true_weight,
-        absolute_error=absolute_error,
-        relative_error=relative_error,
+    # by position, without the NamedTuple's Python-level __new__
+    return tuple.__new__(FitnessReport, (
+        invented.weight, hidden.true_weight, absolute_error, relative_error,
         # relative_error <= tolerance in ints, exact: both denominators are positive
-        fit=absolute_error * tolerance.denominator <= tolerance.numerator * hidden.true_weight,
-    )
+        absolute_error * tolerance.denominator <= tolerance.numerator * hidden.true_weight))
 
 
 def _as_fraction(tolerance: "Fraction | float | int | str") -> Fraction:

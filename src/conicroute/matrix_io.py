@@ -22,9 +22,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import lt
+from typing import NamedTuple
 
 from .errors import (
     ConicRouteError,
@@ -43,15 +43,13 @@ _COMMA_RUNS = re.compile(r"(,+)")
 _INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")  # number tokens joined by commas
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(NamedTuple):
     source_label: str
     source_offset: int
     cells: tuple[tuple[int, int], ...]  # (column, weight), columns ascending
 
 
-@dataclass(frozen=True)
-class BuildMatrix:
+class BuildMatrix(NamedTuple):
     destination_labels: tuple[str, ...]
     destination_offsets: tuple[int, ...]
     rows: tuple[MatrixRow, ...]
@@ -316,7 +314,7 @@ def parse_hidden_paths(text: str, g: ConicGraph) -> dict[frozenset[NodeId], Hidd
                                    f"first given on line {first_line[pair]}")
         weight = _int_cell(record[2], line, "true_weight")
         try:
-            paths[pair] = HiddenPath(src=src.id, dst=dst.id, true_weight=weight)
+            paths[pair] = HiddenPath(src.id, dst.id, weight)
         except ValueError as exc:
             raise ParseError(line, str(exc)) from None
         first_line[pair] = line

@@ -25,7 +25,17 @@ from hypothesis import strategies as st
 import conicroute
 from conicroute import cli
 from conicroute.cli import main
-from conicroute.invention import FitnessReport, HiddenPath, InventedEdge, fitness
+from conicroute.contraction import Overlay, Shortcut
+from conicroute.dijkstra import PathResult, SearchState
+from conicroute.graph import ConicGraph, Edge, Node, NodeKind, Provenance, Violation
+from conicroute.invention import (
+    FitnessReport,
+    HiddenPath,
+    InventedEdge,
+    PolicyThreshold,
+    fitness,
+)
+from conicroute.matrix_io import BuildMatrix, MatrixRow
 
 from conftest import HIDDEN_PATH, MATRIX_PATH
 
@@ -396,6 +406,9 @@ _ALTERNATE_FIELDS = ("CMC", "MC", 459, (312, 771), _REPORT)
 _ALTERNATE_TEXT = ("Alternate(src_label='CMC', dst_label='MC', weight=459, pair_weights=(312, "
                    "771), fitness=FitnessReport(invented_weight=459, hidden_weight=450, "
                    "absolute_error=9, relative_error=Fraction(1, 50), fit=True))")
+_ROW_FIELDS = ("Rumuomasi", 0, ((0, 312), (1, 771)))
+_ROW_TEXT = "MatrixRow(source_label='Rumuomasi', source_offset=0, cells=((0, 312), (1, 771)))"
+_BASE = ConicGraph().freeze()  # an Overlay's repr holds its base graph's
 
 
 @pytest.mark.parametrize("record, fields, text", [
@@ -407,7 +420,37 @@ _ALTERNATE_TEXT = ("Alternate(src_label='CMC', dst_label='MC', weight=459, pair_
                        "invented_alternates": [cli.Alternate(*_ALTERNATE_FIELDS)]},
      "QueryResult(source='Rumuomasi', best=('CMC', 312, ['Rumuomasi', 'CMC']), "
      f"invented_alternates=[{_ALTERNATE_TEXT}])"),
-], ids=["InventedEdge", "Alternate", "QueryResult"])
+    (Node, {"id": 0, "label": "Rumuomasi", "kind": NodeKind.SOURCE, "offset": 0},
+     "Node(id=0, label='Rumuomasi', kind=<NodeKind.SOURCE: 'source'>, offset=0)"),
+    (Edge, {"src": 0, "dst": 1, "weight": 312, "provenance": Provenance.SHORTCUT},
+     "Edge(src=0, dst=1, weight=312, provenance=<Provenance.SHORTCUT: 'shortcut'>)"),
+    (Violation, {"code": "RaggedRow", "detail": "column 1 after column 2"},
+     "Violation(code='RaggedRow', detail='column 1 after column 2')"),
+    (SearchState, {"source": 0, "dist": {0: 0, 1: 312}, "pred": {0: None, 1: 0},
+                   "settled_order": [0, 1]},
+     "SearchState(source=0, dist={0: 0, 1: 312}, pred={0: None, 1: 0}, settled_order=[0, 1])"),
+    (PathResult, {"target": 1, "distance": 312, "nodes": (0, 1)},
+     "PathResult(target=1, distance=312, nodes=(0, 1))"),
+    (Shortcut, {"src": 0, "dst": 2, "weight": 7, "via": 1},
+     "Shortcut(src=0, dst=2, weight=7, via=1)"),
+    (Overlay, {"base": _BASE, "shortcuts": (Shortcut(0, 2, 7, 1),), "order": (0, 1, 2)},
+     f"Overlay(base={_BASE!r}, shortcuts=(Shortcut(src=0, dst=2, weight=7, via=1),), "
+     "order=(0, 1, 2))"),
+    (MatrixRow, dict(zip(["source_label", "source_offset", "cells"], _ROW_FIELDS)), _ROW_TEXT),
+    (BuildMatrix, {"destination_labels": ("CMC", "MC"), "destination_offsets": (1, 2),
+                   "rows": (MatrixRow(*_ROW_FIELDS),)},
+     "BuildMatrix(destination_labels=('CMC', 'MC'), destination_offsets=(1, 2), "
+     f"rows=({_ROW_TEXT},))"),
+    (HiddenPath, {"src": 1, "dst": 2, "true_weight": 450},
+     "HiddenPath(src=1, dst=2, true_weight=450)"),
+    (FitnessReport, dict(zip(["invented_weight", "hidden_weight", "absolute_error",
+                              "relative_error", "fit"], _REPORT)),
+     "FitnessReport(invented_weight=459, hidden_weight=450, absolute_error=9, "
+     "relative_error=Fraction(1, 50), fit=True)"),
+    (PolicyThreshold, {"allowable": 54}, "PolicyThreshold(allowable=54)"),
+], ids=["InventedEdge", "Alternate", "QueryResult", "Node", "Edge", "Violation", "SearchState",
+        "PathResult", "Shortcut", "Overlay", "MatrixRow", "BuildMatrix", "HiddenPath",
+        "FitnessReport", "PolicyThreshold"])
 def test_a_record_keeps_the_contract_of_the_dataclass_it_was(record, fields, text):
     by_keyword, by_position = record(**fields), record(*fields.values())
     assert by_keyword == by_position

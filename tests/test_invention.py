@@ -405,6 +405,34 @@ def test_hidden_path_refuses_a_weight_that_is_not_a_positive_int(weight):
     assert str(err.value) == f"true_weight must be positive, got {weight!r}"
 
 
+_BUILDS = {  # each builds a record of the given field values
+    "position": lambda record, values: record(*values),
+    "keyword": lambda record, values: record(**dict(zip(record._fields, values))),
+    "_make": lambda record, values: record._make(iter(values)),
+    # from a valid record, the last field replaced
+    "_replace": lambda record, values: record(*values[:-1], 1)._replace(
+        **{record._fields[-1]: values[-1]}),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS.keys())
+@pytest.mark.parametrize("record, values, bad", [
+    *[(HiddenPath, (1, 2, 450), bad) for bad in (0, -1, True, 1.0)],
+    *[(PolicyThreshold, (54,), bad) for bad in (0, True, 2.5)],
+])
+def test_a_checked_record_cannot_be_built_around_its_check(build, record, values, bad):
+    assert build(record, values) == values
+    with pytest.raises(ValueError) as err:
+        build(record, (*values[:-1], bad))
+    assert str(err.value) == f"{record._fields[-1]} must be positive, got {bad!r}"
+
+
+@pytest.mark.parametrize("record, values", [(HiddenPath, (1, 2)), (PolicyThreshold, ())])
+def test_a_checked_record_names_itself_in_a_wrong_call(record, values):
+    with pytest.raises(TypeError, match=rf"^{record.__name__}\.__new__\(\) missing 1 required"):
+        record(*values)
+
+
 def test_fitness_endpoint_mismatch():
     edge = InventedEdge(origin=0, src=1, dst=2, weight=459, pair_weights=(312, 771))
     with pytest.raises(EndpointMismatch):

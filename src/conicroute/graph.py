@@ -19,10 +19,10 @@ adds every node of one kind at once when every add_node call would succeed.
 Edges are data: each node's adjacency in _out is (dst, weight) pairs, and
 a log (_log) holds (src, pairs, provenance) in insertion order, once per
 matrix row (sharing its pair tuple with _out), add_edge call and derived
-edge. extend() also keeps each derived edge's target and provenance by
-its source, in _derived. Edge objects are built only on demand: by edges
-in O(E), by out_edges in O(fan-out). Node, Edge and Violation, like every
-record of the package, are NamedTuples: immutable tuples of their fields.
+edge; it alone holds provenance, and every derived edge follows every original
+one in it. Edge objects are built only on demand: by edges in O(E), by out_edges
+in O(fan-out + derived edges). Node, Edge and Violation, like every record of
+the package, are NamedTuples: immutable tuples of their fields.
 
 A graph is immutable after freeze(), which drops the state only add_node
 and add_edge read and turns each adjacency list into a tuple sorted by
@@ -44,7 +44,7 @@ import gc
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from functools import wraps
-from itertools import groupby, repeat
+from itertools import groupby, repeat, takewhile
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -118,8 +118,6 @@ class ConicGraph:
         self._out: list[list | tuple] = []  # by node id, (dst, weight); sorted tuples once frozen
         self._log: list[tuple[NodeId, tuple, Provenance]] = []  # (src, pairs, provenance)
         self._size = 0  # the edges the log holds
-        # by node id, (dst, provenance) of each derived out-edge, in extend()'s order
-        self._derived: dict[NodeId, list[tuple[NodeId, Provenance]]] = {}
         self._by_label: dict[str, NodeId] = {}
         # filled on first use, so a node without in-edges holds no predecessor list
         self._preds: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
@@ -241,10 +239,10 @@ class ConicGraph:
         so with no derived edges it is returned as is. Only SHORTCUT and
         INVENTED edges are taken, so the copy shares the base's original
         adjacency; all are checked first, then accepted by add_edge's step,
-        so the combined edge set stays acyclic. The copy shares every
-        adjacency tuple it adds nothing to and costs O(V) list copies plus
-        the log's, and a sort of each adjacency it adds to; a contraction
-        shortcut is forward in rank.
+        so the combined edge set stays acyclic, and logged after every
+        original edge. The copy shares every adjacency tuple it adds nothing
+        to and costs O(V) list copies plus the log's, and a sort of each
+        adjacency it adds to; a contraction shortcut is forward in rank.
         """
         self._require_frozen()
         derived = tuple(derived)
@@ -260,16 +258,14 @@ class ConicGraph:
         g._nodes, g._by_label, g._rank = self._nodes, self._by_label, list(self._rank)
         g._log, g._size, g._original, g._frozen = list(self._log), self._size, self._original, True
         out, preds = g._out, g._preds = list(self._out), self._preds.copy()
-        late = g._derived = self._derived.copy()
         # the copy's own lists for the nodes that gain an edge: the base's stay as they are
         gainers = {edge.src for edge in derived}
         for src in gainers:
-            out[src], late[src] = list(out[src]), list(late.get(src, ()))
+            out[src] = list(out[src])
         for dst in {edge.dst for edge in derived}:
             preds[dst] = list(preds.get(dst, ()))
         for edge in derived:
             g._accept(edge.src, edge.dst, edge.weight, edge.provenance)
-            late[edge.src].append((edge.dst, edge.provenance))
         key = self._offset_key  # stably: a derived edge follows its parallels
         for src in gainers:
             out[src] = tuple(sorted(out[src], key=key))
@@ -319,15 +315,17 @@ class ConicGraph:
 
     def out_edges(self, node_id: NodeId) -> tuple[Edge, ...]:
         """All outgoing edges, sorted ascending by target offset at freeze(),
-        built on demand: O(fan-out)."""
+        built on demand: O(fan-out + derived edges), read off the log's tail."""
         self._require_frozen()
         self._check_node(node_id)
-        late = defaultdict(list)  # by target, the provenance of its derived edges
-        for dst, provenance in self._derived.get(node_id, ()):
-            late[dst].append(provenance)
+        late = defaultdict(list)  # by target, the provenance of its derived edges, latest first
+        for src, ((dst, _),), provenance in takewhile(  # a derived entry holds one pair
+                lambda entry: entry[2] is not Provenance.ORIGINAL, reversed(self._log)):
+            if src == node_id:
+                late[dst].append(provenance)
         # a stable sort put a target's original edges first, then its derived ones in
         # extend()'s order: walked backwards, each derived edge meets its provenance
-        edges = [Edge(node_id, dst, weight, late[dst].pop() if late[dst] else Provenance.ORIGINAL)
+        edges = [Edge(node_id, dst, weight, late[dst].pop(0) if late[dst] else Provenance.ORIGINAL)
                  for dst, weight in reversed(self._out[node_id])]
         return tuple(reversed(edges))
 

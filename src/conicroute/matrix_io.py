@@ -151,52 +151,33 @@ def parse_build_matrix(text: str) -> BuildMatrix:
 
 
 def emit_build_matrix(matrix: BuildMatrix) -> str:
-    """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting). What
-    parse_build_matrix would not read back raises ValueError: an empty destination
-    label, an offset count unequal to the label count, an offset or weight that is
-    not an int, an offset not past the one before it on its axis (the first
-    destination's past 0), a cell in no column or not past the one before it, a
-    label that is not a str and a label longer than csv's field size limit."""
-    dests, offsets = matrix.destination_labels, matrix.destination_offsets
-    labels = (*dests, *(row.source_label for row in matrix.rows))
-    for label in labels:
-        if not isinstance(label, str):  # the checks below read a label as text
-            raise ValueError(f"label {label!r} is not a str")
-    if len(offsets) != len(dests):
-        raise ValueError(f"{len(offsets)} offsets for {len(dests)} destinations")
-    for label, offset, prev in zip(dests, offsets, (0, *offsets)):
-        if not label:
-            raise ValueError("destination labels must be non-empty")
-        if type(offset) is not int:  # not a bool, float or str, as for a column
-            raise ValueError(f"destination {label!r}: offset {offset!r} is not an int")
-        if offset <= prev:
-            raise ValueError(f"destination {label!r}: offset {offset} not past {prev}")
+    """Canonical CSV text for a BuildMatrix (LF lines, minimal quoting), returned only if
+    parse_build_matrix reads it back as the same matrix by repr (not ==, which takes an int
+    subclass for its int); else ValueError: the ParseError, or the header or row that differs."""
+    dests, rows = matrix.destination_labels, matrix.rows
+    labels = (*dests, *(row.source_label for row in rows))
     out = io.StringIO()
     # a writer that ends lines in LF leaves a CR bare, and a reader ends the
     # line there; so a matrix with a CR in a label is quoted throughout
-    quoting = csv.QUOTE_ALL if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
-    limit = csv.field_size_limit()  # read now: a process-wide setting the parse reads too
-    if max(map(len, labels), default=0) > limit:
-        raise ValueError(f"a label is longer than csv's field size limit ({limit})")
+    quoting = csv.QUOTE_ALL if any("\r" in str(label) for label in labels) else csv.QUOTE_MINIMAL
     writer = csv.writer(out, lineterminator="\n", quoting=quoting)
-    writer.writerow(["destinations", *dests])
-    writer.writerow(["offsets", *offsets])
-    for row, prev in zip(matrix.rows, (None, *(r.source_offset for r in matrix.rows))):
-        cells, last = [""] * len(dests), -1
-        for what, value in (("offset", row.source_offset), *(("weight", w) for _, w in row.cells)):
-            if type(value) is not int:
-                raise ValueError(f"row {row.source_label!r}: {what} {value!r} is not an int")
-        if prev is not None and row.source_offset <= prev:
-            raise ValueError(f"row {row.source_label!r}: offset {row.source_offset} "
-                             f"not past {prev}")
-        for column, weight in row.cells:
-            if type(column) is not int or not 0 <= column < len(cells):  # not a bool or float
-                raise ValueError(f"row {row.source_label!r}: no destination in column {column!r}")
-            if column <= last:
-                raise ValueError(f"row {row.source_label!r}: column {column} after column {last}")
-            cells[column], last = weight, column
-        writer.writerow([row.source_label, row.source_offset, *cells])
-    return out.getvalue()
+    writer.writerows([["destinations", *dests], ["offsets", *matrix.destination_offsets]])
+    for row in rows:
+        # keyed by repr: a column not exactly an int (True, 1.0, "0", [0]) is written nowhere
+        cells = {repr(column): weight for column, weight in row.cells}
+        writer.writerow([row.source_label, row.source_offset,
+                         *(cells.get(repr(i), "") for i in range(len(dests)))])
+    text = out.getvalue()
+    try:
+        again = parse_build_matrix(text)
+    except ParseError as exc:
+        raise ValueError(f"matrix does not read back: {exc}") from None
+    if repr(again) != repr(matrix):
+        where = "header" if repr(again[:2]) != repr(matrix[:2]) else next(
+            (f"row {row.source_label!r}" for row, back in zip(rows, again.rows)
+             if repr(row) != repr(back)), "row tuple")
+        raise ValueError(f"matrix does not read back: {where} differs")
+    return text
 
 
 @_collector_paused

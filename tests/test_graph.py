@@ -599,6 +599,17 @@ def test_an_extended_graph_searches_and_pairs_the_originals_of_its_base(case):
             assert invent_for_source(extended, s) == invent_for_source(base, s)
 
 
+@settings(max_examples=200)
+@given(_dags_with_derived_edges())
+def test_out_edges_are_a_nodes_logged_edges_by_target_offset(case):
+    # provenance is read off the log's tail: a derived edge parallel to another keeps its own
+    base, derived, cut = case
+    for g in (base, base.extend(derived), base.extend(derived[:cut]).extend(derived[cut:])):
+        logged = sorted(g.edges, key=lambda e: (g.node(e.dst).offset, e.dst))  # stably
+        for n in range(g.node_count):
+            assert g.out_edges(n) == tuple(e for e in logged if e.src == n)
+
+
 def test_extend_rejects_cycles(hospital_graph):
     g = hospital_graph
     cmc, mc = label_id(g, "CMC"), label_id(g, "MC")

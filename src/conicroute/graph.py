@@ -11,10 +11,10 @@ Every node holds a topological rank for as long as the graph lives
 rank is accepted in O(1). Only an edge against the rank order is searched,
 and only within the rank window between its endpoints; it either closes a
 cycle or reorders the nodes of that window. add_edge and extend() share
-the one step that accepts an edge by this rule, _accept(). A matrix row
-whose every edge add_edge would accept, forward in rank, skips it:
-_add_row adds the whole row at once, for build_graph. Beside it, _add_nodes
-adds every node of one kind at once when every add_node call would succeed.
+the one step that accepts an edge by this rule, _accept(). A source's first
+edges, a matrix row add_edge would accept whole and forward in rank, skip it:
+_add_row adds them at once, for build_graph, and keeps no weight set. Beside
+it, _add_nodes adds a kind's nodes at once when every add_node would succeed.
 
 Edges are data: each node's adjacency in _out is (dst, weight) pairs, and
 a log (_log) holds (src, pairs, provenance) in insertion order, once per
@@ -24,17 +24,16 @@ one in it. Edge objects are built only on demand: by edges in O(E), by out_edges
 in O(fan-out + derived edges). Node, Edge and Violation, like every record of
 the package, are NamedTuples: immutable tuples of their fields.
 
-A graph is immutable after freeze(), which drops the state only add_node
-and add_edge read and turns each adjacency list into a tuple sorted by
-target offset; a matrix row arrives in that order and is kept as it is, and
-an empty list becomes () unsorted.
-freeze() also sets the original view _original, the one place where a run
-of parallel edges to one node is cut to its lightest edge, the one every
-shortest path takes. Derived edges (shortcuts, invented edges) never
-mutate a frozen graph: extend() returns it for none, else a new frozen
-graph with its own ranks that shares the base's nodes, untouched adjacency
-tuples and _original. The search without use_invented, the pair walk and
-from_graph read _original.
+A graph is immutable after freeze(), which drops the state only add_node and
+add_edge read and turns each adjacency list into a tuple sorted by target
+offset; a matrix row arrives in that order and is kept as it is, and an empty
+list becomes () unsorted. freeze() also sets the original view _original, the
+one place where a run of parallel edges to one node (only add_edge's lists
+hold one) is cut to its lightest edge, the one every shortest path takes.
+Derived edges (shortcuts, invented edges) never mutate a frozen graph:
+extend() returns it for none, else a new frozen graph with its own ranks that
+shares the base's nodes, untouched adjacency tuples and _original. The search
+without use_invented, the pair walk and from_graph read _original.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ class ConicGraph:
         # construction-only state, dropped by freeze()
         # keyed (is a source, offset): a bool hashes at C speed, an Enum does not
         self._by_offset: dict[tuple[bool, int], NodeId] = {}
-        # filled on first use, so a node without out-edges holds no weight set
+        # add_edge's alone, filled on first use: a matrix row keeps no weight set
         self._out_weights: defaultdict[NodeId, set[int]] = defaultdict(set)
         self._frozen = False
 
@@ -195,37 +194,36 @@ class ConicGraph:
 
     def _add_row(self, src: NodeId, targets: tuple[NodeId, ...], weights: tuple[int, ...],
                  in_order: bool) -> bool:
-        """add_edge(src, targets[i], weights[i]) for a matrix row's distinct targets in
-        one step, when every call would succeed; else add nothing and return False.
-        A row in_order (targets by ascending offset) is kept as the tuple freeze()
-        would sort it into, so build_graph adds no other edge from its source."""
-        seen, rank, preds, out = self._out_weights[src], self._rank, self._preds, self._out
-        if not (set(map(type, weights)) == {int} and min(weights) > 0  # _check_edge: an int > 0
-                and len(seen.union(weights)) == len(seen) + len(weights)  # add_edge: none twice
+        """add_edge(src, targets[i], weights[i]) for a matrix row's distinct targets, src's first
+        and only edges (so no weight set is kept), in one step if every call would succeed; else
+        add nothing and return False. A row in_order (by target offset) stays freeze()'s tuple."""
+        rank, preds, out = self._rank, self._preds, self._out
+        if not (not self._frozen and not out[src]  # unsealed, and the source's first edges
+                and set(map(type, weights)) == {int} and min(weights) > 0  # _check_edge: an int > 0
+                and len(set(weights)) == len(weights)  # add_edge: none twice
                 and rank[src] < min(map(rank.__getitem__, targets))):  # _accept: forward, no cycle
             return False
         pairs = tuple(zip(targets, weights))
-        out[src] = pairs if in_order and not out[src] else [*out[src], *pairs]
+        out[src] = pairs if in_order else list(pairs)
         self._log.append((src, pairs, Provenance.ORIGINAL))
         self._size += len(pairs)
         for dst in targets:
             preds[dst].append(src)
-        seen.update(weights)
         return True
 
     def freeze(self) -> "ConicGraph":
         """Sort adjacency by target offset and seal the graph. Idempotent."""
         if not self._frozen:
-            # drop the state only add_node and add_edge read; the ranks and
-            # predecessors stay, as extend() accepts edges by the same step
+            # drop what only add_node and add_edge read; ranks and predecessors stay for extend()
             del self._by_offset, self._out_weights
+            # a run is in a list with fewer targets than pairs: a row's targets are distinct
+            cut = any(len(dict(a)) < len(a) for a in filter(None, self._out) if type(a) is list)
             # a stable sort: parallel edges keep their order; a tuple is a row in order
             key = self._offset_key
             self._out = [() if not adj else adj if type(adj) is tuple
                          else tuple(sorted(adj, key=key)) for adj in self._out]
             self._original = self._out  # every edge so far is original
-            # fewer (src, dst) pairs than edges: cut each parallel run to its lightest edge
-            if sum(map(len, map(set, self._preds.values()))) < self._size:
+            if cut:  # cut each parallel run to its lightest edge
                 cuts = [tuple(min(run, key=itemgetter(1)) for _, run in
                               groupby(adj, itemgetter(0))) for adj in self._out]
                 self._original = [c if len(c) < len(a) else a for c, a in zip(cuts, self._out)]

@@ -20,6 +20,7 @@ invent_all runs with the cyclic collector paused (graph._collector_paused).
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from fractions import Fraction
 from itertools import pairwise
 from math import inf
@@ -148,8 +149,8 @@ def fitness(invented: InventedEdge, hidden: HiddenPath,
     when it does not exceed the tolerance. A str tolerance, here and in the
     CLI, is unsigned ASCII: a ratio such as 1/10 (non-zero denominator) or
     a decimal such as 0.1, .5 or 5. with an exponent of at most four digits
-    (1e-1); other text raises ValueError, as do a bool and a negative
-    number. A float is read through its repr.
+    (1e-1); other text raises ValueError, as do a bool, a negative number and
+    a NaN or an infinity, float or Decimal. A float is read through its repr.
     """
     if {invented.src, invented.dst} != {hidden.src, hidden.dst}:
         raise EndpointMismatch(
@@ -172,7 +173,8 @@ def _as_fraction(tolerance: "Fraction | float | int | str") -> Fraction:
     if not isinstance(tolerance, bool) and (not isinstance(tolerance, str)
                                             or _TOLERANCE.fullmatch(tolerance)):
         # Floats go through their decimal repr so that 0.1 means exactly 1/10.
-        value = Fraction(str(tolerance) if isinstance(tolerance, float) else tolerance)
-        if value >= 0:  # no relative error is below 0
-            return value
+        with suppress(ValueError, OverflowError):  # a NaN or an infinity has no Fraction
+            value = Fraction(str(tolerance) if isinstance(tolerance, float) else tolerance)
+            if value >= 0:  # no relative error is below 0
+                return value
     raise ValueError(f"not an unsigned decimal or ratio: {tolerance!r}")

@@ -28,7 +28,13 @@ from conicroute.errors import (
 )
 from conicroute.graph import ConicGraph, Edge, Node, NodeKind, Provenance, validate
 from conicroute.invention import invent_all, invent_for_source
-from conicroute.matrix_io import parse_build_matrix, to_graph
+from conicroute.matrix_io import (
+    BuildMatrix,
+    MatrixRow,
+    build_graph,
+    parse_build_matrix,
+    to_graph,
+)
 
 from conftest import MATRIX_PATH, label_id, random_conic, random_dag
 
@@ -111,6 +117,55 @@ def test_add_nodes_adds_what_add_node_would_or_nothing():
     g.freeze()
     assert g._add_nodes(["e"], NodeKind.SOURCE, [5]) is None
     assert g.node_count == 4
+
+
+def _row_state(g: ConicGraph) -> tuple:
+    # copies, so that a refused row is compared with the state before it
+    return ([list(adj) if type(adj) is list else adj for adj in g._out], list(g._log),
+            {node: list(preds) for node, preds in g._preds.items()}, g.edge_count)
+
+
+def test_add_row_adds_a_sources_first_edges_as_add_edge_would_or_nothing():
+    g, want = ConicGraph(), ConicGraph()
+    for graph in (g, want):
+        s, t, u, d, e = (graph.add_node(label, kind, offset) for label, kind, offset in (
+            ("s", NodeKind.SOURCE, 0), ("t", NodeKind.SOURCE, 1), ("u", NodeKind.SOURCE, 2),
+            ("d", NodeKind.DESTINATION, 0), ("e", NodeKind.DESTINATION, 1)))
+    assert g._add_row(s, (d, e), (5, 3), True)
+    want.add_edge(s, d, 5)
+    want.add_edge(s, e, 3)
+    assert g.edges == want.edges and g.edge_count == 2 and not g._out_weights
+    assert g._out[s] == ((d, 5), (e, 3)) and g._log[0][1] is g._out[s]  # in order: one tuple
+    # each has one add_edge call that fails, or a source that has an edge already
+    for src, targets, weights in ((s, (e,), (7,)), (t, (d, e), (4, 4)), (t, (d, e), (4, 0)),
+                                  (t, (d, e), (4, 2.0)), (t, (d, e), (4, True)),
+                                  (t, (s, d), (4, 2))):  # t -> s runs against the rank order
+        before = _row_state(g)
+        assert g._add_row(src, targets, weights, True) is False
+        assert _row_state(g) == before
+    assert g._add_row(t, (e, d), (4, 2), False)  # out of order: a list that freeze() sorts
+    assert g._out[t] == [(e, 4), (d, 2)]
+    g.freeze()
+    assert g._out[t] == ((d, 2), (e, 4)) and g._original is g._out
+    assert g._add_row(u, (d,), (1,), True) is False  # sealed, though u has no edge
+    assert g._out[u] == () and g.edge_count == 4
+
+
+@pytest.mark.parametrize("offsets", [(1, 2, 3), (3, 2, 1)], ids=["ascending", "descending"])
+def test_a_clean_matrix_reaches_freeze_with_no_weight_set(monkeypatch, matrix_text, offsets):
+    weight_sets, freeze = [], ConicGraph.freeze
+
+    def recording(self):
+        weight_sets.append(dict(self._out_weights))
+        return freeze(self)
+
+    monkeypatch.setattr(ConicGraph, "freeze", recording)
+    hand_built = BuildMatrix(("a", "b", "c"), offsets, (
+        MatrixRow("s", 0, ((0, 5), (2, 3))), MatrixRow("t", 1, ((0, 4), (1, 6), (2, 2)))))
+    for matrix, edges in ((hand_built, 5), (parse_build_matrix(matrix_text), 8)):
+        g, violations = build_graph(matrix)
+        assert violations == [] and g.edge_count == edges
+    assert weight_sets == [{}, {}]
 
 
 def test_add_edge_original_provenance():
@@ -460,6 +515,30 @@ def test_freeze_cuts_only_the_runs_of_parallel_edges(hospital_graph):
     assert g._original[s] == ((d, 3), (e, 9))
     assert g._original[t] is g._out[t]  # no run: the sealed pair tuple itself
     assert hospital_graph._original is hospital_graph._out  # no run anywhere
+
+
+@settings(max_examples=300)
+@given(_edge_streams(), st.permutations(range(1, 41)), st.permutations(range(9)))
+def test_freeze_keeps_the_lightest_edge_to_each_target_in_offset_order(stream, weights, offsets):
+    """On add_edge graphs that repeat (src, dst) pairs with distinct weights, each
+    node's original view is its lightest edge to each target, by target offset,
+    and it is the adjacency itself exactly when no source repeats a target."""
+    n, edges = stream
+    g = ConicGraph()
+    for i in range(n):
+        g.add_node(f"n{i}", NodeKind.SOURCE, offsets[i])
+    lightest: dict[int, dict[int, int]] = {i: {} for i in range(n)}
+    for (src, dst), weight in zip(edges, weights):
+        try:
+            g.add_edge(src, dst, weight)
+        except CycleCreated:
+            continue
+        lightest[src][dst] = min(weight, lightest[src].get(dst, weight))
+    repeats = len(g.edges) > sum(map(len, lightest.values()))
+    g.freeze()
+    for node, view in lightest.items():
+        assert g._original[node] == tuple(sorted(view.items(), key=lambda p: offsets[p[0]]))
+    assert (g._original is g._out) is not repeats
 
 
 def test_neighbors_ascending_hospital_rows(hospital_graph):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -344,8 +345,11 @@ def test_a_str_tolerance_is_read_by_one_grammar(text, fit):
 @pytest.mark.parametrize("tolerance, fit", [
     (0, True), (0.0, True), (Fraction(0), True), ("0", True), (0.1, True),
     (-1, None), (-0.1, None), (Fraction(-1, 10), None), (True, None), (False, None),
+    (float("nan"), None), (float("inf"), None), (float("-inf"), None),
+    (Decimal("NaN"), None), (Decimal("Infinity"), None),
 ], ids=["int_zero", "float_zero", "fraction_zero", "str_zero", "float",
-        "negative_int", "negative_float", "negative_fraction", "true", "false"])
+        "negative_int", "negative_float", "negative_fraction", "true", "false",
+        "float_nan", "float_inf", "float_minus_inf", "decimal_nan", "decimal_infinity"])
 def test_a_numeric_tolerance_is_neither_negative_nor_a_bool(tolerance, fit):
     edge = InventedEdge(origin=0, src=1, dst=2, weight=459, pair_weights=(312, 771))
     hidden = HiddenPath(src=1, dst=2, true_weight=459)

@@ -648,6 +648,7 @@ def _one_row(*cells, labels=("A", "B"), source="s") -> BuildMatrix:
 @example(_one_row((0, 5), (1, 3), labels=("A", 7)))  # a label that is not a str
 @example(BuildMatrix(("A", "B"), (1,), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # one offset
 @example(BuildMatrix(("A",), (1, 2), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # one label
+@example(BuildMatrix(("A", "B"), (2, 1), (MatrixRow("s", 0, ((0, 5), (1, 3))),)))  # descending
 def test_build_graph_equals_the_cell_by_cell_reference(matrix):
     g, violations = build_graph(matrix)
     want, want_violations = _build_cell_by_cell(matrix)
@@ -655,6 +656,7 @@ def test_build_graph_equals_the_cell_by_cell_reference(matrix):
     assert g.nodes == want.nodes
     assert g.edges == want.edges
     assert all(g.out_edges(n.id) == want.out_edges(n.id) for n in g.nodes)
+    assert all(g._original[n.id] == want._original[n.id] for n in g.nodes)
 
 
 def _clean_matrix(rng: random.Random, n_src: int, n_dest: int, fanout: int) -> BuildMatrix:
